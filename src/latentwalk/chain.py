@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -51,16 +51,17 @@ class LatentBatch:
 
 @dataclass
 class ChainStep:
-    """One transition: decoded batch, optional corrupted batch, next latents."""
+    """Transition t: decoded batch, optional corrupted batch, next latents."""
 
     x: np.ndarray
     x_tilde: Optional[np.ndarray]
     z: LatentBatch
+    t: int
 
 
 @dataclass
 class ChainTrace:
-    """A recorded chain of length T with its starting batch and run settings."""
+    """A chain's starting batch, the steps it kept, and its run settings."""
 
     z0: LatentBatch
     steps: list[ChainStep] = field(default_factory=list)
@@ -71,7 +72,7 @@ class ChainTrace:
         return len(self.steps)
 
     def latents(self) -> list[np.ndarray]:
-        """Latent values per step, index 0 being the starting batch (T+1 entries).
+        """Latent values of the starting batch, then of each kept step.
 
         Returns copies so callers cannot disturb the recorded trace.
         """
@@ -145,30 +146,32 @@ def _next_index(z: LatentBatch) -> int:
     return int(m.group(1)) + 1 if m else 1
 
 
-def transition_step(model, z_t: LatentBatch, rng: Rng) -> tuple[np.ndarray, LatentBatch]:
-    """One application of the plain kernel: decode z_t, re-encode the output."""
+def _transition(model, z_t: LatentBatch, spec: CorruptionSpec | None,
+                rng: Rng) -> tuple[np.ndarray, np.ndarray | None, LatentBatch]:
+    """Decode z_t, corrupt the output when `spec` is given, re-encode."""
     if z_t.values.shape[1] != model.latent_dim:
         raise ContractViolation(
             f"latent dim {z_t.values.shape[1]} does not match model "
             f"latent_dim {model.latent_dim}"
         )
     x = model.chain_decode(z_t.values, rng)
-    z_next = model.chain_encode(x, rng)
-    return x, LatentBatch(z_next, provenance=f"chain({_next_index(z_t)})")
+    x_tilde = None if spec is None else corrupt(x, spec, rng)
+    z_next = model.chain_encode(x if x_tilde is None else x_tilde, rng)
+    return x, x_tilde, LatentBatch(z_next, provenance=f"chain({_next_index(z_t)})")
+
+
+def transition_step(model, z_t: LatentBatch, rng: Rng) -> tuple[np.ndarray, LatentBatch]:
+    """One application of the plain kernel: decode z_t, re-encode the output."""
+    x, _, z_next = _transition(model, z_t, None, rng)
+    return x, z_next
 
 
 def denoising_transition_step(model, z_t: LatentBatch, spec: CorruptionSpec,
                               rng: Rng) -> tuple[np.ndarray, np.ndarray, LatentBatch]:
     """Denoising kernel: decode, corrupt the output, re-encode the corruption."""
-    if z_t.values.shape[1] != model.latent_dim:
-        raise ContractViolation(
-            f"latent dim {z_t.values.shape[1]} does not match model "
-            f"latent_dim {model.latent_dim}"
-        )
-    x = model.chain_decode(z_t.values, rng)
-    x_tilde = corrupt(x, spec, rng)
-    z_next = model.chain_encode(x_tilde, rng)
-    return x, x_tilde, LatentBatch(z_next, provenance=f"chain({_next_index(z_t)})")
+    if spec is None:
+        raise ContractViolation("the denoising kernel needs a CorruptionSpec")
+    return _transition(model, z_t, spec, rng)
 
 
 def _model_norm_mode(model) -> str:
@@ -180,11 +183,15 @@ def _model_norm_mode(model) -> str:
 
 
 def run_chain(model, z0: LatentBatch, steps: int, denoising: bool = False,
-              spec: CorruptionSpec | None = None, rng: Rng | None = None) -> ChainTrace:
-    """Run `steps` transitions from z0 and record every intermediate batch.
+              spec: CorruptionSpec | None = None, rng: Rng | None = None,
+              keep: Iterable[int] | None = None,
+              sink: Callable[[ChainStep], None] | None = None) -> ChainTrace:
+    """Run `steps` transitions from z0.
 
-    Model parameters are read-only throughout; steps=0 returns an empty trace
-    that still carries z0.
+    The trace holds z0 and the steps named in `keep` (every step when it is
+    None); `sink`, when given, is called with each step as it is made, so a
+    caller can consume a walk without holding it. Model parameters are
+    read-only throughout; steps=0 returns an empty trace that still carries z0.
     """
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, got {steps}")
@@ -192,13 +199,39 @@ def run_chain(model, z0: LatentBatch, steps: int, denoising: bool = False,
         raise ContractViolation("denoising chains need a CorruptionSpec")
     if rng is None:
         raise ContractViolation("run_chain needs an rng")
+    kept = None if keep is None else frozenset(keep)
     trace = ChainTrace(z0=z0, denoising=denoising, norm_mode=_model_norm_mode(model))
     z = z0
-    for _ in range(steps):
-        if denoising:
-            x, x_tilde, z = denoising_transition_step(model, z, spec, rng)
-            trace.steps.append(ChainStep(x=x, x_tilde=x_tilde, z=z))
-        else:
-            x, z = transition_step(model, z, rng)
-            trace.steps.append(ChainStep(x=x, x_tilde=None, z=z))
+    for t in range(1, steps + 1):
+        x, x_tilde, z = _transition(model, z, spec if denoising else None, rng)
+        step = ChainStep(x=x, x_tilde=x_tilde, z=z, t=t)
+        if sink is not None:
+            sink(step)
+        if kept is None or t in kept:
+            trace.steps.append(step)
     return trace
+
+
+@dataclass
+class Chain:
+    """A chain not yet run: the arguments of `run_chain`.
+
+    Lets a consumer such as `data.export_trace` size its output from the
+    shapes before the first step is made.
+    """
+
+    model: object
+    z0: LatentBatch
+    steps: int
+    denoising: bool = False
+    spec: CorruptionSpec | None = None
+    rng: Rng | None = None
+    keep: Iterable[int] | None = None
+
+    @property
+    def norm_mode(self) -> str:
+        return _model_norm_mode(self.model)
+
+    def run(self, sink: Callable[[ChainStep], None] | None = None) -> ChainTrace:
+        return run_chain(self.model, self.z0, self.steps, self.denoising,
+                         self.spec, self.rng, keep=self.keep, sink=sink)

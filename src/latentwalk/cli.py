@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import LatentBatch, interpolation_grid, run_chain, sample_prior
+from .chain import (Chain, LatentBatch, interpolation_grid, run_chain,
+                    sample_prior)
 from .data import (Dataset, RunOptions, export_trace, gen_gaussian_mixture,
                    load_checkpoint, load_idx, parse_config,
                    read_checkpoint_header, resolve_variant, save_checkpoint,
@@ -32,7 +33,7 @@ from .models import (GenerativeAutoencoder, PriorSpec, encode_mean,
 from .objectives import CorruptionSpec, TrainConfig, corrupt, train_model
 from .oracle import run_oracle_suite
 from .rng import Rng
-from .tensor import Tensor, no_grad, set_default_dtype
+from .tensor import Tensor, default_dtype, no_grad, set_default_dtype
 
 
 # -- shared plumbing -----------------------------------------------------------
@@ -157,12 +158,15 @@ def _emit_step(out: Path, stem: str, decoded: np.ndarray, latents: np.ndarray,
 
 
 def _snapshot_steps(model, z0: LatentBatch, steps: tuple[int, ...],
-                    denoising: bool, spec: CorruptionSpec, rng: Rng):
-    """Run one chain to max(steps) and return {step: latents} plus the trace."""
-    trace = run_chain(model, z0, max(steps), denoising=denoising, spec=spec,
-                      rng=rng)
-    series = trace.latents()
-    return {s: series[s] for s in steps}, trace
+                    denoising: bool, spec: CorruptionSpec, rng: Rng,
+                    trace_path: Path | None = None):
+    """Run one chain to max(steps), keeping only `steps`; return {step: latents}
+    plus the trace. With `trace_path`, every step is streamed to that file."""
+    chain = Chain(model, z0, max(steps), denoising=denoising, spec=spec, rng=rng,
+                  keep=steps)
+    trace = chain.run() if trace_path is None else export_trace(chain, trace_path)
+    kept = {0: trace.z0.values, **{step.t: step.z.values for step in trace.steps}}
+    return {s: kept[s] for s in steps}, trace
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -170,8 +174,16 @@ def _snapshot_steps(model, z0: LatentBatch, steps: tuple[int, ...],
 
 def cmd_train(args) -> int:
     cfg, opts = _resolve(args)
+    previous = default_dtype()
     if opts.precision == "single":
         set_default_dtype(np.float32)
+    try:
+        return _train(args, cfg, opts)
+    finally:
+        set_default_dtype(previous)
+
+
+def _train(args, cfg: TrainConfig, opts: RunOptions) -> int:
     out = _out_dir(args, "train")
     data = _load_split(opts, cfg.seed, "train")
     base, denoising = resolve_variant(opts.variant)
@@ -213,9 +225,8 @@ def cmd_sample(args) -> int:
                     outputs=planned)
     rng = Rng(cfg.seed).derive("sample")
     z0 = sample_prior(n, PriorSpec(model.latent_dim), rng)
-    snaps, trace = _snapshot_steps(model, z0, opts.steps, model.denoising,
-                                   spec, rng)
-    export_trace(trace, out / "trace.bin")
+    snaps, _ = _snapshot_steps(model, z0, opts.steps, model.denoising, spec,
+                               rng, trace_path=out / "trace.bin")
     render_rng = Rng(cfg.seed).derive("render")
     image_shape = header.get("data_shape")
     for s in sorted(snaps):

@@ -3,7 +3,8 @@
 One binary container format (magic ``GAEC``, version byte, JSON descriptor,
 little-endian float64 payload, CRC-32 trailer) backs both model checkpoints
 and trace/array dumps, so round-trips are bit-exact and corruption is caught
-by checksum rather than by downstream weirdness.
+by checksum rather than by downstream weirdness. One streaming writer
+produces every container, so a chain is written step by step as it runs.
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ from __future__ import annotations
 import json
 import struct
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainTrace
+from .chain import Chain, ChainStep, ChainTrace, LatentBatch
 from .errors import (CheckpointError, ChecksumError, ConfigError,
                      ContractViolation, IdxFormatError, VersionError)
 from .layers import BatchNormLayer, DenseLayer
@@ -161,61 +163,141 @@ def write_image_grid(path: str | Path, images: np.ndarray, rows: int, cols: int,
 # -- binary container (checkpoints and array dumps) -----------------------------------
 
 
-def _write_container(path: str | Path, header: dict,
-                     arrays: list[np.ndarray]) -> None:
-    payload = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes()
-                       for a in arrays)
-    head = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(bytes([_VERSION]))
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
-        fh.write(struct.pack("<Q", len(payload)))
-        fh.write(payload)
-        fh.write(struct.pack("<I", zlib.crc32(payload)))
+class _ContainerWriter:
+    """Streams one container to disk.
+
+    The header lists every tensor's shape, so it and the payload length are
+    written first; each tensor's buffer then goes straight to the file as it
+    arrives, with the CRC carried along, and `close` appends the CRC. A
+    writer left by an exception removes its partial file.
+    """
+
+    def __init__(self, path: str | Path, header: dict):
+        self.path = Path(path)
+        self._shapes = [tuple(spec["shape"]) for spec in header["tensors"]]
+        payload_len = 8 * sum(int(np.prod(s, dtype=np.int64)) for s in self._shapes)
+        head = json.dumps(header, sort_keys=True).encode("utf-8")
+        self._crc = 0
+        self._written = 0
+        self._fh = open(self.path, "wb")
+        self._fh.write(_MAGIC)
+        self._fh.write(bytes([_VERSION]))
+        self._fh.write(struct.pack("<I", len(head)))
+        self._fh.write(head)
+        self._fh.write(struct.pack("<Q", payload_len))
+
+    def write(self, array: np.ndarray) -> None:
+        """Append the next tensor the header lists."""
+        i = self._written
+        if i == len(self._shapes) or np.shape(array) != self._shapes[i]:
+            want = self._shapes[i] if i < len(self._shapes) else "nothing"
+            raise ContractViolation(
+                f"{self.path}: tensor {i} has shape {np.shape(array)}, "
+                f"the header lists {want}")
+        buf = np.ascontiguousarray(array, dtype="<f8")
+        self._fh.write(buf)
+        self._crc = zlib.crc32(buf, self._crc)
+        self._written += 1
+
+    def close(self) -> None:
+        if self._written != len(self._shapes):
+            raise ContractViolation(
+                f"{self.path}: {self._written} of {len(self._shapes)} tensors "
+                f"written")
+        self._fh.write(struct.pack("<I", self._crc))
+        self._fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            self.close()
+        else:
+            self._fh.close()
+            self.path.unlink(missing_ok=True)
+        return False
 
 
-def _read_container(path: str | Path) -> tuple[dict, list[np.ndarray]]:
+_READ_CHUNK = 1 << 20
+
+
+def _read_container(path: str | Path) -> tuple[dict, list[tuple[tuple, int]]]:
+    """The descriptor and each tensor's (shape, file offset), after checking
+    the framing and the payload CRC in one pass over fixed-size chunks."""
     try:
-        blob = Path(path).read_bytes()
+        fh = open(path, "rb")
     except OSError as exc:
         raise CheckpointError(f"{path}: cannot read container ({exc})") from exc
-    if len(blob) < 9 or blob[:4] != _MAGIC:
-        raise CheckpointError(f"{path}: not a recognized container file")
-    version = blob[4]
-    if version != _VERSION:
-        raise VersionError(f"{path}: unknown format version {version}")
-    (head_len,) = struct.unpack("<I", blob[5:9])
-    head_end = 9 + head_len
-    if len(blob) < head_end + 8:
-        raise CheckpointError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[9:head_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable descriptor ({exc})") from None
-    (payload_len,) = struct.unpack("<Q", blob[head_end:head_end + 8])
-    payload_end = head_end + 8 + payload_len
-    if len(blob) < payload_end + 4:
+    with fh:
+        prefix = fh.read(9)
+        if len(prefix) < 9 or prefix[:4] != _MAGIC:
+            raise CheckpointError(f"{path}: not a recognized container file")
+        if prefix[4] != _VERSION:
+            raise VersionError(f"{path}: unknown format version {prefix[4]}")
+        (head_len,) = struct.unpack("<I", prefix[5:9])
+        head = fh.read(head_len)
+        length = fh.read(8)
+        if len(head) < head_len or len(length) < 8:
+            raise CheckpointError(f"{path}: truncated header")
+        try:
+            header = json.loads(head.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: unreadable descriptor ({exc})") from None
+        (payload_len,) = struct.unpack("<Q", length)
+        crc = 0
+        remaining = payload_len
+        while remaining:
+            chunk = fh.read(min(remaining, _READ_CHUNK))
+            if not chunk:
+                break
+            crc = zlib.crc32(chunk, crc)
+            remaining -= len(chunk)
+        trailer = fh.read(4)
+    if remaining or len(trailer) < 4:
         raise CheckpointError(f"{path}: truncated payload")
-    payload = blob[head_end + 8:payload_end]
-    (crc,) = struct.unpack("<I", blob[payload_end:payload_end + 4])
-    if zlib.crc32(payload) != crc:
+    if struct.unpack("<I", trailer)[0] != crc:
         raise ChecksumError(f"{path}: payload checksum mismatch")
-    arrays = []
-    offset = 0
-    for spec in header.get("tensors", []):
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=count,
-                            offset=offset).reshape(shape)
-        arrays.append(arr.astype(np.float64))
-        offset += count * 8
-    if offset != len(payload):
+    tensors = []
+    offset = 9 + head_len + 8
+    try:
+        for spec in header.get("tensors", []):
+            shape = tuple(int(d) for d in spec["shape"])
+            tensors.append((shape, offset))
+            offset += 8 * int(np.prod(shape, dtype=np.int64))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed tensor list ({exc})") from None
+    if offset != 9 + head_len + 8 + payload_len:
         raise CheckpointError(
-            f"{path}: payload length {len(payload)} does not match descriptor "
-            f"({offset} bytes expected)")
-    return header, arrays
+            f"{path}: payload length {payload_len} does not match descriptor "
+            f"({offset - 9 - head_len - 8} bytes expected)")
+    return header, tensors
+
+
+def _read_tensor(path: str | Path, shape: tuple, offset: int) -> np.ndarray:
+    count = int(np.prod(shape, dtype=np.int64))
+    arr = np.fromfile(path, dtype="<f8", count=count, offset=offset)
+    if arr.size != count:
+        raise CheckpointError(f"{path}: truncated payload")
+    return arr.astype(np.float64, copy=False).reshape(shape)
+
+
+class _ArrayDump(Mapping):
+    """The named tensors of a checked array dump. A lookup reads its tensor
+    from the file, so a reader walking a long trace holds one array at a time."""
+
+    def __init__(self, path: str | Path, index: dict[str, tuple[tuple, int]]):
+        self._path = path
+        self._index = index
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return _read_tensor(self._path, *self._index[name])
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
 
 
 def save_arrays(path: str | Path, named: dict[str, np.ndarray],
@@ -227,31 +309,75 @@ def save_arrays(path: str | Path, named: dict[str, np.ndarray],
                     for k, v in named.items()],
         "extra": extra or {},
     }
-    _write_container(path, header, [np.asarray(v) for v in named.values()])
+    with _ContainerWriter(path, header) as writer:
+        for v in named.values():
+            writer.write(v)
 
 
-def load_arrays(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    header, arrays = _read_container(path)
+def load_arrays(path: str | Path) -> tuple[Mapping[str, np.ndarray], dict]:
+    """Named arrays and metadata of an array dump, CRC checked. The arrays are
+    read from the file as they are looked up."""
+    header, tensors = _read_container(path)
     if header.get("kind") != "arrays":
         raise CheckpointError(f"{path}: container is not an array dump")
-    named = {spec["name"]: arr
-             for spec, arr in zip(header["tensors"], arrays)}
-    return named, header.get("extra", {})
+    index = {spec["name"]: t for spec, t in zip(header["tensors"], tensors)}
+    return _ArrayDump(path, index), header.get("extra", {})
 
 
-def export_trace(trace: ChainTrace, path: str | Path) -> None:
-    """Persist a chain trace: z0 plus per-step decoded/corrupted/latent arrays."""
-    named: dict[str, np.ndarray] = {"z0": trace.z0.values}
-    for i, step in enumerate(trace.steps, start=1):
-        named[f"step{i:04d}.x"] = step.x
-        if step.x_tilde is not None:
-            named[f"step{i:04d}.x_tilde"] = step.x_tilde
-        named[f"step{i:04d}.z"] = step.z.values
-    save_arrays(path, named, extra={
-        "denoising": trace.denoising,
-        "norm_mode": trace.norm_mode,
-        "steps": len(trace.steps),
-    })
+class _TraceWriter(_ContainerWriter):
+    """An array dump of a chain: z0, then each step's decoded, corrupted (for
+    denoising chains) and latent batches. Called with each step in order, it
+    is a `run_chain` sink."""
+
+    def __init__(self, path: str | Path, z0: LatentBatch, steps: int,
+                 data_dim: int, denoising: bool, norm_mode: str):
+        n, b = z0.values.shape
+        tensors = [{"name": "z0", "shape": [n, b]}]
+        for t in range(1, steps + 1):
+            tensors.append({"name": f"step{t:04d}.x", "shape": [n, int(data_dim)]})
+            if denoising:
+                tensors.append({"name": f"step{t:04d}.x_tilde",
+                                "shape": [n, int(data_dim)]})
+            tensors.append({"name": f"step{t:04d}.z", "shape": [n, b]})
+        super().__init__(path, {
+            "kind": "arrays",
+            "tensors": tensors,
+            "extra": {"denoising": denoising, "norm_mode": norm_mode,
+                      "steps": steps},
+        })
+        self._denoising = denoising
+        self._t = 0
+        self.write(z0.values)
+
+    def __call__(self, step: ChainStep) -> None:
+        if step.t != self._t + 1:
+            raise ContractViolation(
+                f"{self.path}: got step {step.t} after step {self._t}")
+        self._t = step.t
+        self.write(step.x)
+        if self._denoising:
+            self.write(step.x_tilde)
+        self.write(step.z.values)
+
+
+def export_trace(trace: ChainTrace | Chain, path: str | Path) -> ChainTrace:
+    """Persist a chain: z0 plus per-step decoded/corrupted/latent arrays.
+
+    A finished ChainTrace must hold every step; a trace that kept only some
+    is refused. A Chain not yet run is run
+    here with the open file as its sink, so each step is written as it is
+    made and only the steps the chain keeps stay in memory. Returns the trace.
+    """
+    if isinstance(trace, Chain):
+        with _TraceWriter(path, trace.z0, trace.steps, trace.model.data_dim,
+                          trace.denoising, trace.norm_mode) as writer:
+            return trace.run(sink=writer)
+    data_dim = trace.steps[0].x.shape[1] if trace.steps else 0
+    with _TraceWriter(path, trace.z0, len(trace.steps), data_dim,
+                      trace.denoising, trace.norm_mode) as writer:
+        for step in trace.steps:
+            writer(step)
+    return trace
 
 
 # -- checkpoints ---------------------------------------------------------------------
@@ -311,7 +437,9 @@ def save_checkpoint(model: GenerativeAutoencoder, path: str | Path,
         "train_config": cfg_echo,
         "data_shape": list(data_shape) if data_shape is not None else None,
     }
-    _write_container(path, header, [a for _, a in named])
+    with _ContainerWriter(path, header) as writer:
+        for _, a in named:
+            writer.write(a)
 
 
 def read_checkpoint_header(path: str | Path) -> dict:
@@ -323,7 +451,7 @@ def read_checkpoint_header(path: str | Path) -> dict:
 
 def load_checkpoint(path: str | Path) -> GenerativeAutoencoder:
     """Reconstruct the model; every parameter and running stat is bit-exact."""
-    header, arrays = _read_container(path)
+    header, tensors = _read_container(path)
     if header.get("kind") != "model":
         raise CheckpointError(f"{path}: container is not a model checkpoint")
     try:
@@ -338,16 +466,16 @@ def load_checkpoint(path: str | Path) -> GenerativeAutoencoder:
         raise CheckpointError(f"{path}: malformed model descriptor ({exc})") from None
     named = list(_named_model_arrays(model))
     specs = header.get("tensors", [])
-    if len(named) != len(specs) or len(named) != len(arrays):
+    if len(named) != len(specs):
         raise CheckpointError(
             f"{path}: descriptor lists {len(specs)} tensors, "
             f"model expects {len(named)}")
-    for (name, target), spec, arr in zip(named, specs, arrays):
+    for (name, target), spec, tensor in zip(named, specs, tensors):
         if spec["name"] != name or tuple(spec["shape"]) != target.shape:
             raise CheckpointError(
                 f"{path}: tensor {spec['name']} does not match "
                 f"expected {name} with shape {target.shape}")
-        target[...] = arr
+        target[...] = _read_tensor(path, *tensor)
     return model
 
 

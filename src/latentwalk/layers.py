@@ -101,6 +101,11 @@ class BatchNormLayer:
                 f"batch norm expects (n, {self.dim}), got {x.data.shape}"
             )
         if self.mode == "train":
+            if x.data.shape[0] < 2:
+                raise ContractViolation(
+                    f"train-mode batch norm needs at least 2 rows, got "
+                    f"{x.data.shape[0]}; a single row normalizes to beta "
+                    f"whatever its input")
             mu = T.tmean(x, axis=0)                       # (1, dim)
             centered = x - mu
             var = T.tmean(centered * centered, axis=0)    # biased, (1, dim)

@@ -10,7 +10,7 @@ later step.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +42,19 @@ def median_heuristic_bandwidth(a: np.ndarray, b: np.ndarray) -> float:
     return med if med > 0.0 else 1.0
 
 
-def mmd_rbf(a: np.ndarray, b: np.ndarray, bandwidth: float | str = "auto") -> float:
+def _kernel_mean(a: np.ndarray, b: np.ndarray, denom: float) -> float:
+    return np.exp(-_pairwise_sq_dists(a, b) / denom).mean()
+
+
+def mmd_rbf(a: np.ndarray, b: np.ndarray, bandwidth: float | str = "auto",
+            k_aa: float | None = None, k_bb: float | None = None) -> float:
     """Biased V-statistic estimate of squared MMD with a Gaussian kernel.
 
     Zero exactly when the two sample sets are identical; symmetric in its
     arguments; "auto" bandwidth uses the median heuristic on the pooled sets.
+    `k_aa` and `k_bb`, when given, are the mean kernels over all row pairs of
+    `a` and of `b` at this bandwidth, so a caller comparing sets against each
+    other computes each of those once.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -62,9 +70,11 @@ def mmd_rbf(a: np.ndarray, b: np.ndarray, bandwidth: float | str = "auto") -> fl
     if bandwidth <= 0.0:
         raise ContractViolation(f"bandwidth must be positive, got {bandwidth}")
     denom = 2.0 * bandwidth * bandwidth
-    k_aa = np.exp(-_pairwise_sq_dists(a, a) / denom).mean()
-    k_bb = np.exp(-_pairwise_sq_dists(b, b) / denom).mean()
-    k_ab = np.exp(-_pairwise_sq_dists(a, b) / denom).mean()
+    if k_aa is None:
+        k_aa = _kernel_mean(a, a, denom)
+    if k_bb is None:
+        k_bb = _kernel_mean(b, b, denom)
+    k_ab = _kernel_mean(a, b, denom)
     return max(float(k_aa + k_bb - 2.0 * k_ab), 0.0)
 
 
@@ -114,7 +124,6 @@ class MetricsReport:
     n_prior: int
     prior_seed: int
     kl_regularized: bool = False
-    flags: dict = field(default_factory=dict)
 
 
 def chain_diagnostics(trace: ChainTrace, encoded_reference: LatentBatch,
@@ -140,16 +149,22 @@ def chain_diagnostics(trace: ChainTrace, encoded_reference: LatentBatch,
     series = trace.latents()
     bandwidth = median_heuristic_bandwidth(series[0], ref)
     report = MetricsReport(
-        steps=list(range(len(series))),
+        steps=[0] + [step.t for step in trace.steps],
         mmd_to_encoded=[], mmd_to_prior=[], gaussian_kl_to_prior=[],
         mean_norm=[], cov_eigen_range=[],
         bandwidth=bandwidth, n_chain=series[0].shape[0],
         n_reference=ref.shape[0], n_prior=prior_samples.shape[0],
         prior_seed=prior_seed,
     )
+    denom = 2.0 * bandwidth * bandwidth
+    k_ref = _kernel_mean(ref, ref, denom)
+    k_prior = _kernel_mean(prior_samples, prior_samples, denom)
     for z in series:
-        report.mmd_to_encoded.append(mmd_rbf(z, ref, bandwidth))
-        report.mmd_to_prior.append(mmd_rbf(z, prior_samples, bandwidth))
+        k_z = _kernel_mean(z, z, denom)
+        report.mmd_to_encoded.append(
+            mmd_rbf(z, ref, bandwidth, k_aa=k_z, k_bb=k_ref))
+        report.mmd_to_prior.append(
+            mmd_rbf(z, prior_samples, bandwidth, k_aa=k_z, k_bb=k_prior))
         kl, flagged = gaussian_kl_details(z)
         report.kl_regularized = report.kl_regularized or flagged
         report.gaussian_kl_to_prior.append(kl)

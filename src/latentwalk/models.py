@@ -30,9 +30,16 @@ from .tensor import Tensor, no_grad
 VARIANTS = ("vae", "aae")
 
 # Decoder outputs are nudged off exact 0/1 (float rounding at extreme
-# pre-activations) so cross-entropy stays inside its domain.
+# pre-activations) so cross-entropy stays inside its domain. The bounds must be
+# representable in the output's dtype: float32 rounds 1e-300 to 0 and the
+# float64 neighbour of 1 to 1.
 _OUT_FLOOR = 1e-300
-_OUT_CEIL = float(np.nextafter(1.0, 0.0))
+
+
+def _out_bounds(dtype) -> tuple[np.floating, np.floating]:
+    dtype = np.dtype(dtype)
+    floor = dtype.type(max(_OUT_FLOOR, float(np.finfo(dtype).tiny)))
+    return floor, np.nextafter(dtype.type(1.0), dtype.type(0.0))
 
 # The stochastic encoder's variance head starts out predicting a constant
 # sigma of 0.5: its weights are shrunk so the init-time spread of log-sigma
@@ -243,7 +250,7 @@ def decode(model: GenerativeAutoencoder, z: Tensor,
             f"decoder expects (n, {model.latent_dim}), got {z.data.shape}"
         )
     y = T.sigmoid(model._run(model.decoder, z, update_running=update_running))
-    np.clip(y.data, _OUT_FLOOR, _OUT_CEIL, out=y.data)
+    np.clip(y.data, *_out_bounds(y.data.dtype), out=y.data)
     return y
 
 

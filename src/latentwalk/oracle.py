@@ -262,12 +262,14 @@ def run_oracle_suite(seed: int = 0, radius: float = 0.5, n_chains: int = 10_000,
     results.append(CheckResult("lyapunov-residual", worst <= 1e-10,
                                f"worst residual {worst:.3e} over 10 systems"))
 
-    # 4. Sampled chains reach the analytic stationary covariance.
+    # 4. Sampled chains reach the analytic stationary covariance. run_chain on
+    # the adapter draws exactly as oracle_sample_chain does (check 6), and
+    # keeps only the final step.
     try:
         sigma = solve_stationary_cov(base, tol=1e-12)
-        z0 = rng.normal((n_chains, b))
-        trace = oracle_sample_chain(base, z0, 200, rng)
-        emp = np.cov(trace[-1], rowvar=False, bias=True)
+        z0 = LatentBatch(rng.normal((n_chains, b)))
+        trace = run_chain(OracleModelAdapter(base), z0, 200, rng=rng, keep=(200,))
+        emp = np.cov(trace.steps[-1].z.values, rowvar=False, bias=True)
         rel = _rel_frobenius(emp, sigma)
         results.append(CheckResult("sampled-covariance", rel < tol_cov,
                                    f"relative Frobenius error {rel:.4f} "

@@ -93,6 +93,23 @@ def test_run_chain_is_seed_deterministic(tiny_vae):
         assert np.array_equal(za, zb)
 
 
+def test_run_chain_keeps_only_named_steps(tiny_vae):
+    z0 = sample_prior(5, tiny_vae.prior, Rng(20))
+    spec = CorruptionSpec(0.1)
+    full = run_chain(tiny_vae, z0, steps=6, denoising=True, spec=spec, rng=Rng(21))
+    seen = []
+    kept = run_chain(tiny_vae, z0, steps=6, denoising=True, spec=spec,
+                     rng=Rng(21), keep=(0, 2, 6), sink=seen.append)
+    assert [step.t for step in seen] == [1, 2, 3, 4, 5, 6]
+    assert [step.t for step in kept.steps] == [2, 6]
+    assert kept.z0 is z0
+    for step in kept.steps:
+        twin = full.steps[step.t - 1]
+        assert np.array_equal(step.z.values, twin.z.values)
+        assert np.array_equal(step.x, twin.x)
+        assert np.array_equal(step.x_tilde, twin.x_tilde)
+
+
 def test_run_chain_denoising_requires_spec(tiny_vae):
     z0 = sample_prior(3, tiny_vae.prior, Rng(9))
     with pytest.raises(ContractViolation):

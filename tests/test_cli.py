@@ -1,12 +1,17 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from latentwalk import load_arrays, read_checkpoint_header
+from latentwalk import (CorruptionSpec, GenerativeAutoencoder, PriorSpec, Rng,
+                        export_trace, load_arrays, load_checkpoint,
+                        read_checkpoint_header, run_chain, sample_prior,
+                        save_checkpoint)
 from latentwalk.cli import main
+from latentwalk.tensor import default_dtype
 
 FAST = ("train_size = 96\n"
         "test_size = 64\n"
@@ -50,6 +55,17 @@ def test_train_writes_expected_artifacts(tmp_path, fast_cfg):
     assert len(lines) == 3  # header + 2 epochs
 
 
+def test_single_precision_train_leaves_the_next_call_in_double(tmp_path, fast_cfg):
+    before = _train(tmp_path / "before", fast_cfg)
+    single = tmp_path / "single.cfg"
+    single.write_text(FAST + "precision = single\n")
+    _train(tmp_path / "single", str(single))
+    assert default_dtype() is np.float64
+    after = _train(tmp_path / "after", fast_cfg)
+    assert ((after / "model.ckpt").read_bytes()
+            == (before / "model.ckpt").read_bytes())
+
+
 def test_train_all_four_variants(tmp_path, fast_cfg):
     for variant in ("vae", "dvae", "aae", "daae"):
         out = _train(tmp_path, fast_cfg, variant=variant)
@@ -78,6 +94,58 @@ def test_sample_produces_grids_and_trace(tmp_path, fast_cfg):
     latents = np.loadtxt(out / "samples_step0_latents.csv", delimiter=",",
                          skiprows=1)
     assert latents.shape == (24, 2)
+
+
+def _image_checkpoint(tmp_path, denoising=True):
+    """An untrained 16x16 model: sampling cost depends only on the sizes."""
+    model = GenerativeAutoencoder("vae", data_dim=256, latent_dim=4,
+                                  hidden_dims=(16,), denoising=denoising,
+                                  corruption_variance=0.1, init_seed=3)
+    path = tmp_path / "image.ckpt"
+    save_checkpoint(model, path, data_shape=(16, 16))
+    return path
+
+
+def test_sample_streams_the_trace_export_trace_writes(tmp_path):
+    ckpt = _image_checkpoint(tmp_path)
+    out = tmp_path / "samples"
+    code = main(["sample", "--checkpoint", str(ckpt), "--seed", "4", "--n", "8",
+                 "--steps", "0,2,7", "--out", str(out)])
+    assert code == 0
+    model = load_checkpoint(ckpt)
+    rng = Rng(4).derive("sample")
+    z0 = sample_prior(8, PriorSpec(model.latent_dim), rng)
+    trace = run_chain(model, z0, 7, denoising=True,
+                      spec=CorruptionSpec(model.corruption_variance), rng=rng)
+    export_trace(trace, tmp_path / "whole.bin")
+    assert (out / "trace.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+
+def test_sample_holds_a_few_steps_not_the_walk(tmp_path):
+    ckpt = _image_checkpoint(tmp_path)
+    n, steps = 64, 60
+    step_bytes = 2 * n * 256 * 8  # decoded and corrupted batch of one step
+    tracemalloc.start()
+    try:
+        code = main(["sample", "--checkpoint", str(ckpt), "--seed", "1",
+                     "--n", str(n), "--steps", f"0,{steps}",
+                     "--out", str(tmp_path / "samples")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * step_bytes, f"peak {peak} bytes for {step_bytes}-byte steps"
+
+
+def test_sample_one_chain_with_train_mode_batch_norm_is_rejected(
+        tmp_path, capsys):
+    ckpt = _image_checkpoint(tmp_path)
+    out = tmp_path / "samples"
+    code = main(["sample", "--checkpoint", str(ckpt), "--n", "1",
+                 "--bn-mode", "train", "--steps", "0,3", "--out", str(out)])
+    assert code == 1
+    assert "at least 2 rows" in capsys.readouterr().err
+    assert not (out / "trace.bin").exists()
 
 
 def test_sample_missing_checkpoint_fails_cleanly(tmp_path, fast_cfg, capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latentwalk import (CheckpointError, ChecksumError, ConfigError,
+from latentwalk import (Chain, CheckpointError, ChecksumError, ConfigError,
                         ContractViolation, CorruptionSpec, Dataset,
                         GenerativeAutoencoder, IdxFormatError, LatentBatch,
                         Rng, RunOptions, TrainConfig, VersionError,
@@ -274,6 +274,76 @@ def test_export_trace_layout(tmp_path, tiny_vae):
     assert extra["denoising"] is True
     assert np.array_equal(arrays["z0"], trace.z0.values)
     assert np.array_equal(arrays["step0002.z"], trace.steps[1].z.values)
+
+
+def test_export_trace_streams_a_chain_as_a_finished_trace(tmp_path, tiny_vae):
+    z0 = sample_prior(6, tiny_vae.prior, Rng(3))
+    spec = CorruptionSpec(0.1)
+    export_trace(run_chain(tiny_vae, z0, steps=5, denoising=True, spec=spec,
+                           rng=Rng(4)), tmp_path / "whole.bin")
+    trace = export_trace(Chain(tiny_vae, z0, 5, denoising=True, spec=spec,
+                               rng=Rng(4), keep=(5,)), tmp_path / "streamed.bin")
+    assert ((tmp_path / "streamed.bin").read_bytes()
+            == (tmp_path / "whole.bin").read_bytes())
+    assert [step.t for step in trace.steps] == [5]
+
+
+def test_export_trace_refuses_a_trace_missing_steps(tmp_path, tiny_vae):
+    z0 = sample_prior(4, tiny_vae.prior, Rng(5))
+    trace = run_chain(tiny_vae, z0, steps=3, rng=Rng(6), keep=(1, 3))
+    with pytest.raises(ContractViolation):
+        export_trace(trace, tmp_path / "trace.bin")
+    assert not (tmp_path / "trace.bin").exists()
+
+
+class _FailsAtDecode:
+    """A model that raises on its `fail_at`-th decode."""
+
+    def __init__(self, model, fail_at):
+        self.model = model
+        self.latent_dim = model.latent_dim
+        self.data_dim = model.data_dim
+        self.decodes = 0
+        self.fail_at = fail_at
+
+    def chain_decode(self, z, rng):
+        self.decodes += 1
+        if self.decodes == self.fail_at:
+            raise ContractViolation("decoder failed mid-chain")
+        return self.model.chain_decode(z, rng)
+
+    def chain_encode(self, x, rng):
+        return self.model.chain_encode(x, rng)
+
+
+def test_chain_failing_mid_walk_leaves_no_readable_trace(tmp_path, tiny_vae):
+    path = tmp_path / "trace.bin"
+    model = _FailsAtDecode(tiny_vae, fail_at=3)
+    z0 = sample_prior(4, tiny_vae.prior, Rng(7))
+    with pytest.raises(ContractViolation):
+        export_trace(Chain(model, z0, 5, rng=Rng(8)), path)
+    assert model.decodes == 3
+    if path.exists():
+        with pytest.raises(CheckpointError):
+            load_arrays(path)
+
+
+def test_container_rejects_truncated_payload(tmp_path):
+    path = tmp_path / "dump.bin"
+    save_arrays(path, {"x": np.ones((4, 4))})
+    path.write_bytes(path.read_bytes()[:-40])
+    with pytest.raises(CheckpointError):
+        load_arrays(path)
+
+
+def test_save_arrays_refuses_to_write_past_its_header(tmp_path):
+    from latentwalk.data import _ContainerWriter
+    path = tmp_path / "dump.bin"
+    header = {"kind": "arrays", "tensors": [{"name": "x", "shape": [2]}]}
+    with pytest.raises(ContractViolation):
+        with _ContainerWriter(path, header) as writer:
+            writer.write(np.ones(3))
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from latentwalk import (ContractViolation, LatentBatch, PriorSpec, Rng,
                         chain_diagnostics, gaussian_kl_to_prior,
                         median_heuristic_bandwidth, mmd_rbf, run_chain,
                         sample_prior, write_report)
-from latentwalk.metrics import gaussian_kl_details
+from latentwalk.metrics import _kernel_mean, gaussian_kl_details
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +64,14 @@ def test_mmd_fixed_bandwidth_is_respected():
     a = Rng(9).normal((50, 2))
     b = Rng(10).normal((50, 2)) + 1.0
     assert mmd_rbf(a, b, 0.5) != mmd_rbf(a, b, 5.0)
+
+
+def test_mmd_with_given_self_kernels_is_bit_identical():
+    a = Rng(13).normal((40, 3))
+    b = Rng(14).normal((30, 3)) + 0.5
+    denom = 2.0 * 1.3 * 1.3
+    assert mmd_rbf(a, b, 1.3, k_aa=_kernel_mean(a, a, denom),
+                   k_bb=_kernel_mean(b, b, denom)) == mmd_rbf(a, b, 1.3)
 
 
 def test_mmd_validation():
@@ -167,6 +175,15 @@ def test_diagnostics_step0_matches_direct_mmd():
     report = chain_diagnostics(trace, ref, PriorSpec(2))
     direct = mmd_rbf(trace.z0.values, ref.values, report.bandwidth)
     assert math.isclose(report.mmd_to_encoded[0], direct, rel_tol=1e-12)
+
+
+def test_diagnostics_match_direct_mmd_at_every_step():
+    trace, ref = _diag_setup()
+    report = chain_diagnostics(trace, ref, PriorSpec(2), rng=Rng(3))
+    prior = Rng(3).normal((40, 2))
+    for i, z in enumerate(trace.latents()):
+        assert report.mmd_to_encoded[i] == mmd_rbf(z, ref.values, report.bandwidth)
+        assert report.mmd_to_prior[i] == mmd_rbf(z, prior, report.bandwidth)
 
 
 def test_diagnostics_moment_columns_match_numpy():

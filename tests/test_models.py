@@ -96,6 +96,33 @@ def test_batchnorm_eval_uses_running_stats():
     assert np.all(np.abs(one.data) > 0.5)
 
 
+def test_batchnorm_train_mode_rejects_a_single_row():
+    bn = BatchNormLayer(2)
+    with pytest.raises(ContractViolation):
+        bn(Tensor(np.array([[1.0, 2.0]])))
+    bn.mode = "eval"
+    assert bn(Tensor(np.array([[1.0, 2.0]]))).shape == (1, 2)
+
+
+def test_saturated_float32_decoder_stays_inside_cross_entropy_domain():
+    from latentwalk.models import decode
+    from latentwalk.objectives import recon_cross_entropy
+    T.set_default_dtype(np.float32)
+    try:
+        model = GenerativeAutoencoder("vae", data_dim=2, latent_dim=2,
+                                      hidden_dims=(4,), init_seed=0)
+        last = model.decoder[-1]
+        last.weights.data[...] = 0.0
+        last.bias.data[...] = [-120.0, 120.0]  # sigmoid rounds to 0 and 1
+        y = decode(model, Tensor(np.zeros((3, 2))))
+        assert y.data.dtype == np.float32
+        assert np.all(y.data > 0.0) and np.all(y.data < 1.0)
+        loss = recon_cross_entropy(Tensor(np.full((3, 2), 0.5)), y)
+        assert np.isfinite(loss.data)
+    finally:
+        T.set_default_dtype(np.float64)
+
+
 def test_dropout_inactive_is_identity():
     d = Dropout(0.5)
     x = Tensor(np.ones((4, 4)))
