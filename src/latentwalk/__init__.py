@@ -27,12 +27,11 @@ from .objectives import (CorruptionSpec, EpochStats, TrainConfig,
                          recon_cross_entropy, recon_squared_error,
                          train_epoch, train_model, write_loss_log)
 from .optim import Adam, AdamState, adam_step
-from .oracle import (CheckResult, OracleSystem, oracle_sample_chain,
-                     oracle_transition_moments, random_contractive_system,
-                     run_oracle_suite, solve_stationary_cov,
-                     spectral_radius, wrap_oracle_as_model)
+from .oracle import (CheckResult, OracleModelAdapter, OracleSystem,
+                     oracle_sample_chain, oracle_transition_moments,
+                     random_contractive_system, run_oracle_suite,
+                     solve_stationary_cov, spectral_radius)
 from .rng import Rng
-from .tensor import (Tensor, apply_primitive, finite_diff_check, no_grad,
-                     set_default_dtype)
+from .tensor import Tensor, finite_diff_check
 
 __all__ = [name for name in dir() if not name.startswith("_")]

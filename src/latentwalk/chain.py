@@ -51,9 +51,12 @@ class LatentBatch:
 
 @dataclass
 class ChainStep:
-    """Transition t: decoded batch, optional corrupted batch, next latents."""
+    """Transition t: decoded batch, optional corrupted batch, next latents.
 
-    x: np.ndarray
+    A consumer that reads only latents may drop both batches (set to None).
+    """
+
+    x: Optional[np.ndarray]
     x_tilde: Optional[np.ndarray]
     z: LatentBatch
     t: int

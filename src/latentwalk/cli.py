@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,7 @@ from .models import (GenerativeAutoencoder, PriorSpec, encode_mean,
 from .objectives import CorruptionSpec, TrainConfig, corrupt, train_model
 from .oracle import run_oracle_suite
 from .rng import Rng
-from .tensor import Tensor, default_dtype, no_grad, set_default_dtype
+from .tensor import Tensor
 
 
 # -- shared plumbing -----------------------------------------------------------
@@ -174,16 +174,6 @@ def _snapshot_steps(model, z0: LatentBatch, steps: tuple[int, ...],
 
 def cmd_train(args) -> int:
     cfg, opts = _resolve(args)
-    previous = default_dtype()
-    if opts.precision == "single":
-        set_default_dtype(np.float32)
-    try:
-        return _train(args, cfg, opts)
-    finally:
-        set_default_dtype(previous)
-
-
-def _train(args, cfg: TrainConfig, opts: RunOptions) -> int:
     out = _out_dir(args, "train")
     data = _load_split(opts, cfg.seed, "train")
     base, denoising = resolve_variant(opts.variant)
@@ -191,7 +181,8 @@ def _train(args, cfg: TrainConfig, opts: RunOptions) -> int:
         base, data_dim=data.dim, latent_dim=_latent_dim(opts),
         hidden_dims=opts.hidden_dims, adversary_dims=opts.adversary_dims,
         denoising=denoising, corruption_variance=cfg.corruption.variance,
-        init_seed=cfg.seed)
+        init_seed=cfg.seed,
+        dtype=np.float32 if opts.precision == "single" else np.float64)
     ckpt = out / "model.ckpt"
     losses = out / "losses.csv"
     _write_manifest(out, "train", cfg, opts, inputs=[data.source],
@@ -251,8 +242,8 @@ def cmd_interpolate(args) -> int:
         raise LatentWalkError(
             f"corner index {max(args.indices)} out of range for "
             f"{len(data)} test items")
-    with no_grad():
-        corners = encode_mean(model, Tensor(data.samples[list(args.indices)])).data
+    corners = encode_mean(
+        model, Tensor(data.samples[list(args.indices)], dtype=model.dtype)).data
     grid = interpolation_grid(corners, args.rows, args.cols)
     spec = CorruptionSpec(model.corruption_variance)
     rng = Rng(cfg.seed).derive("interpolate")
@@ -333,8 +324,13 @@ def cmd_evaluate(args) -> int:
                             provenance="encoded")
     z0 = sample_prior(opts.chains, PriorSpec(model.latent_dim), rng)
     spec = CorruptionSpec(model.corruption_variance)
+    # chain_diagnostics reads latents only: keep each step without its batches.
+    steps = []
     trace = run_chain(model, z0, max(opts.steps), denoising=model.denoising,
-                      spec=spec, rng=rng)
+                      spec=spec, rng=rng, keep=(),
+                      sink=lambda step: steps.append(
+                          replace(step, x=None, x_tilde=None)))
+    trace.steps = steps
     report = chain_diagnostics(trace, reference, PriorSpec(model.latent_dim),
                                rng=Rng(cfg.seed).derive("metrics-prior"))
     write_report(report, report_path)

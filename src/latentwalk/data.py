@@ -13,7 +13,7 @@ import json
 import struct
 import zlib
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -617,10 +617,7 @@ def parse_config(source: str | Path) -> tuple[TrainConfig, RunOptions]:
         **{k: values[k] for k in _TRAIN_KEYS if k in values},
     )
     opts = RunOptions(variant=variant)
-    for key in ("latent_dim", "hidden_dims", "adversary_dims", "dataset",
-                "dataset_test", "mixture_components", "mixture_radius",
-                "mixture_std", "train_size", "test_size", "chains", "steps",
-                "bn_mode", "precision"):
-        if key in values:
-            setattr(opts, key, values[key])
+    for f in fields(RunOptions):
+        if f.name in values:
+            setattr(opts, f.name, values[f.name])
     return cfg, opts

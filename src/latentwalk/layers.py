@@ -21,13 +21,13 @@ from .tensor import Tensor
 class DenseLayer:
     """Affine map y = x W^T + b with weights of shape (out, in)."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: Rng):
+    def __init__(self, in_dim: int, out_dim: int, rng: Rng, dtype=np.float64):
         if in_dim < 1 or out_dim < 1:
             raise ContractViolation(f"dense dims must be >= 1, got {in_dim}x{out_dim}")
         limit = np.sqrt(6.0 / (in_dim + out_dim))
         w = (2.0 * rng.uniform((out_dim, in_dim)) - 1.0) * limit
-        self.weights = Tensor(w, requires_grad=True)
-        self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
+        self.weights = Tensor(w, requires_grad=True, dtype=dtype)
+        self.bias = Tensor(np.zeros(out_dim), requires_grad=True, dtype=dtype)
         self.in_dim = in_dim
         self.out_dim = out_dim
 
@@ -56,7 +56,7 @@ _ACTIVATION_KINDS = ("relu", "leaky_relu", "sigmoid", "tanh")
 
 
 class Activation:
-    """Elementwise nonlinearity applied by primitive name."""
+    """Elementwise nonlinearity: the `tensor` primitive of the same name."""
 
     def __init__(self, kind: str, slope: float = 0.2):
         if kind not in _ACTIVATION_KINDS:
@@ -69,7 +69,7 @@ class Activation:
     def __call__(self, x: Tensor) -> Tensor:
         if self.kind == "leaky_relu":
             return T.leaky_relu(x, self.slope)
-        return T.apply_primitive(self.kind, x)
+        return getattr(T, self.kind)(x)
 
     def params(self) -> list[Tensor]:
         return []
@@ -83,14 +83,15 @@ class BatchNormLayer:
     is passed (one EMA step per call, biased batch variance).
     """
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-8):
+    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-8,
+                 dtype=np.float64):
         if not (0.0 < momentum < 1.0):
             raise ContractViolation(f"momentum must be in (0,1), got {momentum}")
         self.dim = dim
         self.momentum = momentum
         self.eps = eps
-        self.gamma = Tensor(np.ones(dim), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim), requires_grad=True)
+        self.gamma = Tensor(np.ones(dim), requires_grad=True, dtype=dtype)
+        self.beta = Tensor(np.zeros(dim), requires_grad=True, dtype=dtype)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
         self.mode = "train"
@@ -117,7 +118,9 @@ class BatchNormLayer:
                 self.running_var = (1 - m) * self.running_var + m * var.data[0]
         else:
             inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            x_hat = (x - Tensor(self.running_mean)) * Tensor(inv)
+            dtype = x.data.dtype
+            x_hat = ((x - Tensor(self.running_mean, dtype=dtype))
+                     * Tensor(inv, dtype=dtype))
         return x_hat * self.gamma + self.beta
 
     def params(self) -> list[Tensor]:
@@ -139,7 +142,7 @@ class Dropout:
         if rng is None:
             raise ContractViolation("active dropout requires an rng")
         mask = (rng.uniform(x.data.shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
+        return x * Tensor(mask, dtype=x.data.dtype)
 
     def params(self) -> list[Tensor]:
         return []

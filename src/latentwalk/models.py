@@ -25,7 +25,7 @@ from .errors import ContractViolation, ShapeMismatchError
 from .layers import Activation, BatchNormLayer, DenseLayer, Dropout
 from .rng import Rng
 from . import tensor as T
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 VARIANTS = ("vae", "aae")
 
@@ -62,13 +62,17 @@ class PriorSpec:
 
 
 class GenerativeAutoencoder:
-    """One trained artifact: parameters plus the variant/denoising flags."""
+    """One trained artifact: parameters plus the variant/denoising flags.
+
+    `dtype` is the storage of every parameter and of the tensors the model
+    builds: float64, or float32 as a training-speed switch.
+    """
 
     def __init__(self, variant: str, data_dim: int, latent_dim: int,
                  hidden_dims: tuple[int, ...] = (64, 64),
                  adversary_dims: tuple[int, ...] = (64, 64),
                  denoising: bool = False, corruption_variance: float = 0.25,
-                 init_seed: int = 0):
+                 init_seed: int = 0, dtype=np.float64):
         variant = variant.lower()
         if variant not in VARIANTS:
             raise ContractViolation(f"unknown variant {variant!r}")
@@ -80,6 +84,8 @@ class GenerativeAutoencoder:
             raise ContractViolation(
                 f"corruption variance must be finite and >= 0, got {corruption_variance}"
             )
+        if dtype not in (np.float32, np.float64):
+            raise ContractViolation(f"unsupported dtype {dtype!r}")
         head_in = hidden_dims[-1]
         if variant == "aae" and head_in < latent_dim:
             raise ContractViolation(
@@ -97,17 +103,20 @@ class GenerativeAutoencoder:
         self.corruption_variance = float(corruption_variance)
         self.init_seed = int(init_seed)
         self.prior = PriorSpec(latent_dim)
+        self.dtype = np.dtype(dtype)
 
         rng = Rng(init_seed).derive("init")
         head_out = 2 * latent_dim if variant == "vae" else latent_dim
-        self.encoder = _mlp(rng, data_dim, hidden_dims, head_out, norm=True)
+        self.encoder = _mlp(rng, data_dim, hidden_dims, head_out, norm=True,
+                            dtype=dtype)
         if variant == "vae":
             head = self.encoder[-1]
             head.weights.data[latent_dim:, :] *= _SIGMA_HEAD_WEIGHT_SCALE
             head.bias.data[latent_dim:] = np.log(_SIGMA_HEAD_INIT)
-        self.decoder = _mlp(rng, latent_dim, hidden_dims, data_dim, norm=True)
+        self.decoder = _mlp(rng, latent_dim, hidden_dims, data_dim, norm=True,
+                            dtype=dtype)
         if variant == "aae":
-            self.adversary = _adversary(rng, latent_dim, adversary_dims)
+            self.adversary = _adversary(rng, latent_dim, adversary_dims, dtype)
         else:
             self.adversary = None
 
@@ -161,46 +170,46 @@ class GenerativeAutoencoder:
             )
         return self._run(self.encoder, x, update_running=update_running)
 
-    # -- sampling protocol (numpy in, numpy out, no graph) ----------------------
+    # -- sampling protocol (numpy in, numpy out) ----------------------------------
+    # The forward pass records a graph through the parameters; only `.data`
+    # leaves, so the graph is freed with the result and no `.grad` is touched.
 
     def chain_encode(self, x: np.ndarray, rng: Rng) -> np.ndarray:
         """Encoder draw for chain transitions: stochastic for VAE, not for AAE."""
-        with no_grad():
-            if self.variant == "vae":
-                z, _, _ = encode_vae(self, Tensor(x), rng)
-            else:
-                z = encode_aae(self, Tensor(x))
-            return z.data
+        if self.variant == "vae":
+            z, _, _ = encode_vae(self, Tensor(x, dtype=self.dtype), rng)
+        else:
+            z = encode_aae(self, Tensor(x, dtype=self.dtype))
+        return z.data
 
     def chain_decode(self, z: np.ndarray, rng: Rng) -> np.ndarray:
         """Decoder mean for chain transitions; rng accepted for protocol parity."""
-        with no_grad():
-            return decode(self, Tensor(z)).data
+        return decode(self, Tensor(z, dtype=self.dtype)).data
 
 
 def _mlp(rng: Rng, in_dim: int, hidden: tuple[int, ...], out_dim: int,
-         norm: bool) -> list:
+         norm: bool, dtype) -> list:
     stack: list = []
     prev = in_dim
     for h in hidden:
-        stack.append(DenseLayer(prev, h, rng))
+        stack.append(DenseLayer(prev, h, rng, dtype))
         if norm:
-            stack.append(BatchNormLayer(h))
+            stack.append(BatchNormLayer(h, dtype=dtype))
         stack.append(Activation("relu"))
         prev = h
-    stack.append(DenseLayer(prev, out_dim, rng))
+    stack.append(DenseLayer(prev, out_dim, rng, dtype))
     return stack
 
 
-def _adversary(rng: Rng, in_dim: int, hidden: tuple[int, ...]) -> list:
+def _adversary(rng: Rng, in_dim: int, hidden: tuple[int, ...], dtype) -> list:
     stack: list = []
     prev = in_dim
     for h in hidden:
-        stack.append(DenseLayer(prev, h, rng))
+        stack.append(DenseLayer(prev, h, rng, dtype))
         stack.append(Activation("leaky_relu", 0.2))
         stack.append(Dropout(0.5))
         prev = h
-    stack.append(DenseLayer(prev, 1, rng))
+    stack.append(DenseLayer(prev, 1, rng, dtype))
     stack.append(Activation("sigmoid"))
     return stack
 
@@ -221,7 +230,7 @@ def encode_vae(model: GenerativeAutoencoder, x: Tensor, rng: Rng,
     mu = T.tslice(head, 0, b, axis=1)
     log_sigma = T.tslice(head, b, 2 * b, axis=1)
     sigma = T.exp(log_sigma)
-    eps = Tensor(rng.normal(mu.data.shape))
+    eps = Tensor(rng.normal(mu.data.shape), dtype=mu.data.dtype)
     z = mu + eps * sigma
     return z, mu, sigma
 

@@ -25,7 +25,7 @@ from .models import (GenerativeAutoencoder, adversary_score, decode,
 from .optim import Adam
 from .rng import Rng
 from . import tensor as T
-from .tensor import Tensor, no_grad
+from .tensor import Tensor
 
 RECONSTRUCTION_LOSSES = ("cross_entropy", "squared_error")
 
@@ -189,10 +189,11 @@ def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
         idx = order[bi * cfg.batch_size:(bi + 1) * cfg.batch_size]
         x_clean = samples[idx]
         x_in = corrupt(x_clean, cfg.corruption, rng) if cfg.denoising else x_clean
-        target = Tensor(x_clean)
+        target = Tensor(x_clean, dtype=model.dtype)
+        x = Tensor(x_in, dtype=model.dtype)
 
         if model.variant == "vae":
-            z, mu, sigma = encode_vae(model, Tensor(x_in), rng, update_running=True)
+            z, mu, sigma = encode_vae(model, x, rng, update_running=True)
             x_hat = decode(model, z, update_running=True)
             recon = loss_fn(target, x_hat)
             prior = kl_prior_gaussian(mu, sigma)
@@ -203,24 +204,24 @@ def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
             sums += (recon.item(), prior.item(), 0.0, 0.0)
         else:
             # (i) reconstruction on encoder + decoder
-            z = encode_aae(model, Tensor(x_in), update_running=True)
+            z = encode_aae(model, x, update_running=True)
             x_hat = decode(model, z, update_running=True)
             recon = loss_fn(target, x_hat)
             state.opt_recon.zero_grad()
             recon.backward()
             state.opt_recon.step()
             # (ii) adversary on prior draws vs detached codes
-            with no_grad():
-                z_fake = encode_aae(model, Tensor(x_in)).data
-            z_real = rng.normal((cfg.batch_size, model.latent_dim))
-            d_real = adversary_score(model, Tensor(z_real), rng=rng, train=True)
-            d_fake = adversary_score(model, Tensor(z_fake), rng=rng, train=True)
+            z_fake = encode_aae(model, x).detach()
+            z_real = Tensor(rng.normal((cfg.batch_size, model.latent_dim)),
+                            dtype=model.dtype)
+            d_real = adversary_score(model, z_real, rng=rng, train=True)
+            d_fake = adversary_score(model, z_fake, rng=rng, train=True)
             disc, _ = adversarial_losses(d_real, d_fake)
             state.opt_disc.zero_grad()
             disc.backward()
             state.opt_disc.step()
             # (iii) encoder against the updated adversary
-            z_gen = encode_aae(model, Tensor(x_in))
+            z_gen = encode_aae(model, x)
             d_gen = adversary_score(model, z_gen, rng=rng, train=True)
             gen = T.scale(T.tmean(T.log(d_gen)), -1.0)
             state.opt_gen.zero_grad()

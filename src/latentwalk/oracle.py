@@ -22,7 +22,9 @@ import numpy as np
 from .errors import ContractViolation, DivergenceError
 from .rng import Rng
 
-_MAX_ITERATIONS = 100_000
+# Each doubling squares the contraction; a contractive system converges long
+# before this many (2**64 terms of the series).
+_MAX_DOUBLINGS = 64
 # Any stationary covariance this large means the map is not a contraction.
 _GROWTH_CAP = 1e12
 
@@ -94,27 +96,29 @@ def oracle_transition_moments(sys: OracleSystem, mean_t: np.ndarray,
 
 
 def solve_stationary_cov(sys: OracleSystem, tol: float = 1e-10) -> np.ndarray:
-    """Fixed point of S -> M S M^T + Q by iteration from S = 0.
+    """Fixed point S = M S M^T + Q by Smith's doubling iteration.
 
-    Returns the first iterate whose update residual (Frobenius) is within tol;
-    raises if the iteration cap is hit (non-contractive M).
+    S_k = sum_{j < 2^k} M^j Q M^jT, built as S <- S + A S A^T, A <- A^2 from
+    S = Q, A = M. Returns the first S_k whose Lyapunov residual
+    |M S M^T + Q - S| (Frobenius) is within tol; raises if S grows without
+    bound or the doubling cap is hit (non-contractive M).
     """
     if tol <= 0:
         raise ContractViolation(f"tol must be positive, got {tol}")
     m, q = sys.M, sys.Q
-    s = np.zeros_like(q)
-    for _ in range(_MAX_ITERATIONS):
-        nxt = m @ s @ m.T + q
-        if np.linalg.norm(nxt - s) <= tol:
+    s, a = q, m
+    for _ in range(_MAX_DOUBLINGS):
+        if np.linalg.norm(m @ s @ m.T + q - s) <= tol:
             return s
-        if not np.all(np.isfinite(nxt)) or np.linalg.norm(nxt) > _GROWTH_CAP:
+        if not np.all(np.isfinite(s)) or np.linalg.norm(s) > _GROWTH_CAP:
             raise DivergenceError(
                 f"stationary covariance iteration is unbounded "
                 f"(spectral radius {spectral_radius(m):.6f})"
             )
-        s = nxt
+        s = s + a @ s @ a.T
+        a = a @ a
     raise DivergenceError(
-        f"stationary covariance did not converge in {_MAX_ITERATIONS} iterations "
+        f"stationary covariance did not converge in {_MAX_DOUBLINGS} doublings "
         f"(spectral radius {spectral_radius(m):.6f})"
     )
 
@@ -172,11 +176,6 @@ class OracleModelAdapter:
 
     def chain_encode(self, x: np.ndarray, rng: Rng) -> np.ndarray:
         return x @ self.system.E.T
-
-
-def wrap_oracle_as_model(sys: OracleSystem) -> OracleModelAdapter:
-    """Adapter letting run_chain execute against the closed-form system."""
-    return OracleModelAdapter(sys)
 
 
 def random_contractive_system(rng: Rng, latent_dim: int, data_dim: int,
@@ -300,8 +299,8 @@ def run_oracle_suite(seed: int = 0, radius: float = 0.5, n_chains: int = 10_000,
     z0 = rng.normal((64, b))
     seed_pair = int(rng.derive("bit-identity").seed)
     direct = oracle_sample_chain(corr, z0, 20, Rng(seed_pair))
-    adapter = wrap_oracle_as_model(corr)
-    trace = run_chain(adapter, LatentBatch(z0.copy()), 20, denoising=True,
+    trace = run_chain(OracleModelAdapter(corr), LatentBatch(z0.copy()), 20,
+                      denoising=True,
                       spec=CorruptionSpec(corr.corruption_variance),
                       rng=Rng(seed_pair))
     same = all(np.array_equal(direct[t], lat)

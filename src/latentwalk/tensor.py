@@ -2,8 +2,9 @@
 
 Define-by-run: each primitive records its inputs and a backward closure when
 any input requires gradients, and `Tensor.backward()` walks the graph in
-reverse topological order. Storage is float64 numpy by default; training may
-switch to float32 via `set_default_dtype`.
+reverse topological order. Storage is float64 numpy unless a tensor is built
+with `dtype=np.float32`; scalars mixed into an op take the other operand's
+dtype.
 """
 
 from __future__ import annotations
@@ -13,36 +14,6 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from .errors import ContractViolation, DomainError, ShapeMismatchError
-
-_DEFAULT_DTYPE = np.float64
-_GRAD_ENABLED = True
-
-
-def set_default_dtype(dtype) -> None:
-    """float64 (default) or float32; float32 is a training-speed switch only."""
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ContractViolation(f"unsupported dtype {dtype!r}")
-    _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
-
-class no_grad:
-    """Context manager that suppresses graph recording (sampling, metrics)."""
-
-    def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
-        return self
-
-    def __exit__(self, *exc):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
-        return False
 
 
 class Tensor:
@@ -54,8 +25,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents")
 
-    def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=_DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float64):
+        arr = np.asarray(data, dtype=dtype)
         if not np.all(np.isfinite(arr)):
             raise DomainError("tensor constructed from non-finite values")
         self.data = arr
@@ -82,7 +53,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
+        return Tensor(self.data.copy(), dtype=self.data.dtype)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -132,32 +103,32 @@ class Tensor:
     # -- operator sugar ------------------------------------------------------
 
     def __add__(self, other):
-        return add(self, _as_tensor(other))
+        return add(self, _as_tensor(other, self))
 
     def __radd__(self, other):
-        return add(_as_tensor(other), self)
+        return add(_as_tensor(other, self), self)
 
     def __sub__(self, other):
-        return sub(self, _as_tensor(other))
+        return sub(self, _as_tensor(other, self))
 
     def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return sub(_as_tensor(other, self), self)
 
     def __mul__(self, other):
-        return hadamard(self, _as_tensor(other))
+        return hadamard(self, _as_tensor(other, self))
 
     def __rmul__(self, other):
-        return hadamard(_as_tensor(other), self)
+        return hadamard(_as_tensor(other, self), self)
 
     def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
+        return matmul(self, _as_tensor(other, self))
 
     def __neg__(self):
         return scale(self, -1.0)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+def _as_tensor(x, like: Tensor) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x, dtype=like.data.dtype)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor],
@@ -165,7 +136,7 @@ def _make(data: np.ndarray, parents: Sequence[Tensor],
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    if _GRAD_ENABLED and any(p.requires_grad or p._parents for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -376,34 +347,6 @@ def tslice(a: Tensor, start: int, stop: int, axis: int = 1) -> Tensor:
         return [(a, full)]
 
     return _make(out, (a,), bw)
-
-
-_PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "hadamard": hadamard,
-    "scale": scale,
-    "relu": relu,
-    "leaky_relu": leaky_relu,
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "exp": exp,
-    "log": log,
-    "sum": tsum,
-    "mean": tmean,
-    "concat": concat,
-    "slice": tslice,
-}
-
-
-def apply_primitive(kind: str, *inputs, **kwargs) -> Tensor:
-    """Dispatch a primitive by name; inputs are Tensors (or a sequence for concat)."""
-    try:
-        fn = _PRIMITIVES[kind]
-    except KeyError:
-        raise ContractViolation(f"unknown primitive {kind!r}") from None
-    return fn(*inputs, **kwargs)
 
 
 def finite_diff_check(f: Callable[[], Tensor], params: Iterable[Tensor],

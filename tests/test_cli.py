@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,6 @@ from latentwalk import (CorruptionSpec, GenerativeAutoencoder, PriorSpec, Rng,
                         read_checkpoint_header, run_chain, sample_prior,
                         save_checkpoint)
 from latentwalk.cli import main
-from latentwalk.tensor import default_dtype
 
 FAST = ("train_size = 96\n"
         "test_size = 64\n"
@@ -60,7 +60,6 @@ def test_single_precision_train_leaves_the_next_call_in_double(tmp_path, fast_cf
     single = tmp_path / "single.cfg"
     single.write_text(FAST + "precision = single\n")
     _train(tmp_path / "single", str(single))
-    assert default_dtype() is np.float64
     after = _train(tmp_path / "after", fast_cfg)
     assert ((after / "model.ckpt").read_bytes()
             == (before / "model.ckpt").read_bytes())
@@ -130,6 +129,28 @@ def test_sample_holds_a_few_steps_not_the_walk(tmp_path):
         code = main(["sample", "--checkpoint", str(ckpt), "--seed", "1",
                      "--n", str(n), "--steps", f"0,{steps}",
                      "--out", str(tmp_path / "samples")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * step_bytes, f"peak {peak} bytes for {step_bytes}-byte steps"
+
+
+def test_evaluate_holds_latents_not_the_walk(tmp_path):
+    ckpt = _image_checkpoint(tmp_path)
+    n, steps = 64, 60
+    step_bytes = 2 * n * 256 * 8  # decoded and corrupted batch of one step
+    images = np.random.default_rng(0).integers(0, 256, size=(n, 16, 16))
+    idx = tmp_path / "images.idx"
+    idx.write_bytes(bytes([0, 0, 0x08, 3]) + struct.pack(">3I", n, 16, 16)
+                    + images.astype(np.uint8).tobytes())
+    cfg = tmp_path / "images.cfg"
+    cfg.write_text(f"dataset = {idx}\nchains = {n}\n")
+    tracemalloc.start()
+    try:
+        code = main(["evaluate", "--checkpoint", str(ckpt), "--seed", "1",
+                     "--config", str(cfg), "--steps", f"0,{steps}",
+                     "--out", str(tmp_path / "evaluate")])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

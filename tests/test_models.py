@@ -107,20 +107,17 @@ def test_batchnorm_train_mode_rejects_a_single_row():
 def test_saturated_float32_decoder_stays_inside_cross_entropy_domain():
     from latentwalk.models import decode
     from latentwalk.objectives import recon_cross_entropy
-    T.set_default_dtype(np.float32)
-    try:
-        model = GenerativeAutoencoder("vae", data_dim=2, latent_dim=2,
-                                      hidden_dims=(4,), init_seed=0)
-        last = model.decoder[-1]
-        last.weights.data[...] = 0.0
-        last.bias.data[...] = [-120.0, 120.0]  # sigmoid rounds to 0 and 1
-        y = decode(model, Tensor(np.zeros((3, 2))))
-        assert y.data.dtype == np.float32
-        assert np.all(y.data > 0.0) and np.all(y.data < 1.0)
-        loss = recon_cross_entropy(Tensor(np.full((3, 2), 0.5)), y)
-        assert np.isfinite(loss.data)
-    finally:
-        T.set_default_dtype(np.float64)
+    model = GenerativeAutoencoder("vae", data_dim=2, latent_dim=2,
+                                  hidden_dims=(4,), init_seed=0,
+                                  dtype=np.float32)
+    last = model.decoder[-1]
+    last.weights.data[...] = 0.0
+    last.bias.data[...] = [-120.0, 120.0]  # sigmoid rounds to 0 and 1
+    y = decode(model, Tensor(np.zeros((3, 2)), dtype=np.float32))
+    assert y.data.dtype == np.float32
+    assert np.all(y.data > 0.0) and np.all(y.data < 1.0)
+    loss = recon_cross_entropy(Tensor(np.full((3, 2), 0.5), dtype=np.float32), y)
+    assert np.isfinite(loss.data)
 
 
 def test_dropout_inactive_is_identity():
@@ -266,3 +263,16 @@ def test_chain_encode_decode_roundtrip_shapes(tiny_vae):
     y = tiny_vae.chain_decode(z, Rng(16))
     assert isinstance(y, np.ndarray) and y.shape == (21, 2)
     assert np.all((y > 0.0) & (y < 1.0))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("variant", ["vae", "aae"])
+def test_sampling_protocol_leaves_gradients_unset(variant, dtype):
+    model = GenerativeAutoencoder(variant, 2, 2, hidden_dims=(8,),
+                                  adversary_dims=(8,), init_seed=0,
+                                  dtype=dtype)
+    set_norm_mode(model, "eval")
+    rng = Rng(17)
+    z = model.chain_encode(model.chain_decode(rng.normal((5, 2)), rng), rng)
+    assert z.dtype == dtype
+    assert all(p.grad is None for p in model.all_params())

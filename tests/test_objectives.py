@@ -227,6 +227,38 @@ def test_train_is_seed_deterministic(tiny_dataset, fast_config):
     assert run() == run()
 
 
+@pytest.mark.parametrize("order", [(np.float32, np.float64),
+                                   (np.float64, np.float32)])
+def test_models_of_either_precision_share_a_process(tiny_dataset, order):
+    """Precision belongs to the model: building or training one model never
+    changes the dtype of another, whatever order they come in."""
+    cfg = TrainConfig(epochs=1, batch_size=32, seed=2)
+    for variant in ("vae", "aae"):
+        runs = []
+        for dtype in order:
+            model = GenerativeAutoencoder(variant, 2, 2, hidden_dims=(8,),
+                                          adversary_dims=(8,), init_seed=1,
+                                          dtype=dtype)
+            state = init_train_state(model, cfg)
+            train_epoch(model, tiny_dataset, cfg, state=state)
+            runs.append((dtype, model, state))
+        for dtype, model, state in runs:
+            assert model.dtype == dtype
+            assert all(p.data.dtype == dtype for p in model.all_params())
+            if variant == "aae":
+                # leaky_relu's backward builds a float64 slope mask, so AAE
+                # gradients and the moments fed by them come back in float64.
+                continue
+            assert all(p.grad.dtype == dtype for p in model.all_params())
+            for moments in state.opt_recon._states:
+                assert moments.m.dtype == dtype and moments.v.dtype == dtype
+
+
+def test_model_dtype_must_be_a_float_width():
+    with pytest.raises(ContractViolation):
+        GenerativeAutoencoder("vae", 2, 2, dtype=np.float16)
+
+
 def test_denoising_flag_must_match_model(tiny_vae, tiny_dataset):
     cfg = TrainConfig(epochs=1, batch_size=32, denoising=True)
     with pytest.raises(ContractViolation):

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from latentwalk import (ContractViolation, DivergenceError, LatentBatch,
-                        OracleSystem, Rng, oracle_sample_chain,
-                        oracle_transition_moments, random_contractive_system,
-                        run_chain, run_oracle_suite, solve_stationary_cov,
-                        spectral_radius, wrap_oracle_as_model)
+                        OracleModelAdapter, OracleSystem, Rng,
+                        oracle_sample_chain, oracle_transition_moments,
+                        random_contractive_system, run_chain, run_oracle_suite,
+                        solve_stationary_cov, spectral_radius)
 
 
 def _half_identity(dec_var=1.0, corr_var=0.0):
@@ -95,6 +95,16 @@ def test_stationary_diverges_for_expansive_map():
         solve_stationary_cov(sys)
 
 
+@pytest.mark.parametrize("rho", [0.999, 0.9999])
+def test_stationary_solves_nearly_critical_contraction(rho):
+    """Contractive however slowly: S = I / (1 - rho^2), not a divergence."""
+    sys = OracleSystem(E=np.eye(2), D=rho * np.eye(2),
+                       decoder_noise_variance=1.0)
+    expected = np.eye(2) / (1.0 - rho * rho)
+    assert np.allclose(solve_stationary_cov(sys), expected,
+                       rtol=1e-11, atol=0.0)
+
+
 def test_iterated_moments_converge_to_stationary():
     sys = _half_identity()
     target = solve_stationary_cov(sys)
@@ -154,7 +164,7 @@ def test_adapter_matches_direct_sampler_bitwise():
     sys = _half_identity(dec_var=1.0, corr_var=0.0)
     z0 = Rng(6).normal((128, 2))
     direct = oracle_sample_chain(sys, z0, steps=7, rng=Rng(7))
-    model = wrap_oracle_as_model(sys)
+    model = OracleModelAdapter(sys)
     trace = run_chain(model, LatentBatch(z0), steps=7, rng=Rng(7))
     for t, z in enumerate(trace.latents()):
         assert np.array_equal(z, direct[t]), f"step {t} diverged"
@@ -163,7 +173,7 @@ def test_adapter_matches_direct_sampler_bitwise():
 def test_adapter_reports_dims():
     sys = random_contractive_system(Rng(8), latent_dim=3, data_dim=6,
                                     target_radius=0.5)
-    model = wrap_oracle_as_model(sys)
+    model = OracleModelAdapter(sys)
     assert model.latent_dim == 3
     assert model.data_dim == 6
 

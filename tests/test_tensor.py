@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentwalk import ContractViolation, DomainError, Tensor, no_grad
+from latentwalk import ContractViolation, DomainError, Tensor
 from latentwalk import tensor as T
 from latentwalk.errors import ShapeMismatchError
 from latentwalk.tensor import finite_diff_check
@@ -56,12 +56,20 @@ def test_detach_breaks_the_graph():
     assert w.grad is None
 
 
-def test_no_grad_suppresses_graph_building():
+def test_graph_is_recorded_exactly_when_an_input_requires_grad():
     w = _param([1.0, 2.0])
-    with no_grad():
-        y = T.tsum(T.hadamard(w, w))
-    y.backward()  # detached constant: nothing to do, nothing to reach
-    assert w.grad is None
+    c = Tensor([3.0, 4.0])
+    assert T.hadamard(w, c).requires_grad
+    const = T.tsum(T.hadamard(c, c))
+    assert not const.requires_grad and const._parents == ()
+
+
+def test_scalar_operands_take_the_tensor_dtype():
+    x = Tensor([1.0, 2.0], dtype=np.float32)
+    for y in (x + 1.0, 1.0 + x, x - 1.0, 1.0 - x, x * 2.0, 2.0 * x):
+        assert y.data.dtype == np.float32
+    assert x.detach().data.dtype == np.float32
+    assert (Tensor([1.0]) + 1.0).data.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -187,13 +195,6 @@ def test_slice_returns_copy_not_view():
 def test_matmul_shape_mismatch():
     with pytest.raises(ShapeMismatchError):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
-
-
-def test_apply_primitive_dispatch():
-    out = T.apply_primitive("sum", _param([1.0, 2.0, 3.0]))
-    assert out.item() == 6.0
-    with pytest.raises(ContractViolation):
-        T.apply_primitive("no-such-op", Tensor([1.0]))
 
 
 def test_operator_sugar_matches_functions():
