@@ -3,7 +3,7 @@
 against the analytic stationary solution.
 
 Each row draws a random contractive encode/decode pair at a target spectral
-radius, solves for the stationary covariance by fixed-point iteration, then
+radius, solves for the stationary covariance by Smith's doubling, then
 runs a batch of chains long enough to mix and reports the relative Frobenius
 gap between the empirical covariance and the solution.  Radii at or above 1
 are reported as divergent rather than solved.

@@ -22,7 +22,8 @@ import numpy as np
 
 from .chain import (Chain, LatentBatch, interpolation_grid, run_chain,
                     sample_prior)
-from .data import (Dataset, RunOptions, export_trace, gen_gaussian_mixture,
+from .data import (_CONFIG_KEYS, Dataset, RunOptions, _parse_count,
+                   _parse_int_list, export_trace, gen_gaussian_mixture,
                    load_checkpoint, load_idx, parse_config,
                    read_checkpoint_header, resolve_variant, save_checkpoint,
                    write_image_grid)
@@ -39,48 +40,30 @@ from .tensor import Tensor
 # -- shared plumbing -----------------------------------------------------------
 
 
-def _steps_arg(text: str) -> tuple[int, ...]:
-    try:
-        items = tuple(int(p.strip(), 10) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad steps list {text!r}") from None
-    if not items:
-        raise argparse.ArgumentTypeError("steps list must not be empty")
-    if any(i < 0 for i in items):
-        raise argparse.ArgumentTypeError("steps must be >= 0")
-    return items
+def _flag_type(parse):
+    """An argparse `type` from a config-table parser, so a flag and its
+    config key accept and reject the same values."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad value {text!r}: {exc}") \
+                from None
+    return convert
 
 
 def _indices_arg(text: str) -> tuple[int, ...]:
-    try:
-        items = tuple(int(p.strip(), 10) for p in text.split(",") if p.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad index list {text!r}") from None
+    items = _flag_type(_parse_int_list)(text)
     if len(items) != 4:
         raise argparse.ArgumentTypeError("need exactly four corner indices")
     return items
 
 
 def _resolve(args) -> tuple[TrainConfig, RunOptions]:
-    """Config file (if any) merged with command-line overrides."""
-    if getattr(args, "config", None):
-        cfg, opts = parse_config(Path(args.config))
-    else:
-        cfg, opts = TrainConfig(), RunOptions()
-    if getattr(args, "variant", None):
-        opts.variant = args.variant
-        _, cfg.denoising = resolve_variant(args.variant)
-    if getattr(args, "seed", None) is not None:
-        cfg.seed = args.seed
-    if getattr(args, "corruption_variance", None) is not None:
-        cfg.corruption = CorruptionSpec(args.corruption_variance)
-    if getattr(args, "steps", None) is not None:
-        opts.steps = args.steps
-    if getattr(args, "bn_mode", None):
-        opts.bn_mode = args.bn_mode
-    if getattr(args, "chains", None) is not None:
-        opts.chains = args.chains
-    return cfg, opts
+    """Config file (if any) merged with the flags that set config keys."""
+    overrides = {k: v for k, v in vars(args).items()
+                 if k in _CONFIG_KEYS and v is not None}
+    return parse_config(Path(args.config) if args.config else "", overrides)
 
 
 def _out_dir(args, default: str) -> Path:
@@ -136,37 +119,45 @@ def _write_csv(path: Path, array: np.ndarray, prefix: str) -> None:
             writer.writerow([f"{v:.17g}" for v in row])
 
 
-def _emit_step(out: Path, stem: str, decoded: np.ndarray, latents: np.ndarray,
-               image_shape: tuple[int, int] | None) -> list[str]:
-    """One step's outputs: an image grid for image data, CSV dumps otherwise."""
-    written = []
-    if image_shape is not None:
-        m = min(decoded.shape[0], 64)
-        cols = 8 if m > 8 else m
-        rows = math.ceil(m / cols)
-        path = out / f"{stem}.pgm"
-        write_image_grid(path, decoded[:m], rows, cols, *image_shape)
-        written.append(str(path))
-    else:
-        path = out / f"{stem}_decoded.csv"
-        _write_csv(path, decoded, "x")
-        written.append(str(path))
-    lat_path = out / f"{stem}_latents.csv"
-    _write_csv(lat_path, latents, "z")
-    written.append(str(lat_path))
-    return written
+def _write_batch(out: Path, stem: str, batch: np.ndarray,
+                 image_shape: tuple[int, int] | None,
+                 grid: tuple[int, int] | None = None, csv_tag: str = "") -> None:
+    """Image data: the first rows*cols items as a `{stem}.pgm` grid (`grid`,
+    else 8 columns and the rows they need). Other data: `{stem}{csv_tag}.csv`."""
+    if image_shape is None:
+        _write_csv(out / f"{stem}{csv_tag}.csv", batch, "x")
+        return
+    cols = min(len(batch), 8)
+    rows, cols = grid or (math.ceil(len(batch) / cols), cols)
+    write_image_grid(out / f"{stem}.pgm", batch[:rows * cols], rows, cols,
+                     *image_shape)
 
 
 def _snapshot_steps(model, z0: LatentBatch, steps: tuple[int, ...],
                     denoising: bool, spec: CorruptionSpec, rng: Rng,
-                    trace_path: Path | None = None):
+                    trace_path: Path | None = None) -> dict[int, np.ndarray]:
     """Run one chain to max(steps), keeping only `steps`; return {step: latents}
-    plus the trace. With `trace_path`, every step is streamed to that file."""
+    in step order. With `trace_path`, every step is streamed to that file."""
     chain = Chain(model, z0, max(steps), denoising=denoising, spec=spec, rng=rng,
                   keep=steps)
     trace = chain.run() if trace_path is None else export_trace(chain, trace_path)
     kept = {0: trace.z0.values, **{step.t: step.z.values for step in trace.steps}}
-    return {s: kept[s] for s in steps}, trace
+    return {s: kept[s] for s in sorted(steps)}
+
+
+def _open(args, subcommand: str):
+    """Settings, output directory, checkpoint in the chosen norm mode, the
+    corruption spec (flag, else the model's) and the image shape, if any."""
+    cfg, opts = _resolve(args)
+    out = _out_dir(args, subcommand)
+    header = read_checkpoint_header(args.checkpoint)
+    model = load_checkpoint(args.checkpoint)
+    set_norm_mode(model, opts.bn_mode)
+    variance = getattr(args, "corruption_variance", None)
+    spec = CorruptionSpec(model.corruption_variance if variance is None
+                          else variance)
+    shape = header.get("data_shape")
+    return cfg, opts, out, model, spec, tuple(shape) if shape else None
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -197,46 +188,32 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_model(args) -> tuple[GenerativeAutoencoder, dict]:
-    header = read_checkpoint_header(args.checkpoint)
-    return load_checkpoint(args.checkpoint), header
-
-
 def cmd_sample(args) -> int:
-    cfg, opts = _resolve(args)
-    out = _out_dir(args, "sample")
-    model, header = _load_model(args)
-    set_norm_mode(model, opts.bn_mode)
-    spec = CorruptionSpec(args.corruption_variance
-                          if args.corruption_variance is not None
-                          else model.corruption_variance)
-    n = args.n if args.n is not None else opts.chains
-    planned = [str(out / "trace.bin")]
+    cfg, opts, out, model, spec, shape = _open(args, "sample")
+    n = args.n or opts.chains
     _write_manifest(out, "sample", cfg, opts, inputs=[str(args.checkpoint)],
-                    outputs=planned)
+                    outputs=[str(out / "trace.bin")])
     rng = Rng(cfg.seed).derive("sample")
     z0 = sample_prior(n, PriorSpec(model.latent_dim), rng)
-    snaps, _ = _snapshot_steps(model, z0, opts.steps, model.denoising, spec,
-                               rng, trace_path=out / "trace.bin")
+    snaps = _snapshot_steps(model, z0, opts.steps, model.denoising, spec, rng,
+                            trace_path=out / "trace.bin")
     render_rng = Rng(cfg.seed).derive("render")
-    image_shape = header.get("data_shape")
-    for s in sorted(snaps):
-        decoded = model.chain_decode(snaps[s], render_rng)
-        _emit_step(out, f"samples_step{s}", decoded, snaps[s],
-                   tuple(image_shape) if image_shape else None)
-    print(f"sampled {n} chains at steps {','.join(map(str, sorted(snaps)))}; "
+    for s, latents in snaps.items():
+        decoded = model.chain_decode(latents, render_rng)
+        _write_batch(out, f"samples_step{s}", decoded, shape,  # first 64
+                     grid=(min(math.ceil(n / 8), 8), min(n, 8)),
+                     csv_tag="_decoded")
+        _write_csv(out / f"samples_step{s}_latents.csv", latents, "z")
+    print(f"sampled {n} chains at steps {','.join(map(str, snaps))}; "
           f"outputs in {out}")
     return 0
 
 
 def cmd_interpolate(args) -> int:
-    cfg, opts = _resolve(args)
-    out = _out_dir(args, "interpolate")
+    cfg, opts, out, model, spec, shape = _open(args, "interpolate")
     _write_manifest(out, "interpolate", cfg, opts,
                     inputs=[str(args.checkpoint)],
                     outputs=[f"grid_step<k> for k in {list(opts.steps)}"])
-    model, header = _load_model(args)
-    set_norm_mode(model, opts.bn_mode)
     data = _load_split(opts, cfg.seed, "test")
     if max(args.indices) >= len(data):
         raise LatentWalkError(
@@ -245,36 +222,24 @@ def cmd_interpolate(args) -> int:
     corners = encode_mean(
         model, Tensor(data.samples[list(args.indices)], dtype=model.dtype)).data
     grid = interpolation_grid(corners, args.rows, args.cols)
-    spec = CorruptionSpec(model.corruption_variance)
     rng = Rng(cfg.seed).derive("interpolate")
-    snaps, _ = _snapshot_steps(model, grid, opts.steps, model.denoising,
-                               spec, rng)
+    snaps = _snapshot_steps(model, grid, opts.steps, model.denoising, spec, rng)
     render_rng = Rng(cfg.seed).derive("render")
-    image_shape = header.get("data_shape")
-    for s in sorted(snaps):
-        decoded = model.chain_decode(snaps[s], render_rng)
-        if image_shape:
-            path = out / f"grid_step{s}.pgm"
-            write_image_grid(path, decoded, args.rows, args.cols, *image_shape)
-        else:
-            _write_csv(out / f"grid_step{s}_decoded.csv", decoded, "x")
-            _write_csv(out / f"grid_step{s}_latents.csv", snaps[s], "z")
+    for s, latents in snaps.items():
+        decoded = model.chain_decode(latents, render_rng)
+        _write_batch(out, f"grid_step{s}", decoded, shape,
+                     grid=(args.rows, args.cols), csv_tag="_decoded")
+        if shape is None:
+            _write_csv(out / f"grid_step{s}_latents.csv", latents, "z")
     print(f"interpolated {args.rows}x{args.cols} grid at steps "
-          f"{','.join(map(str, sorted(snaps)))}; outputs in {out}")
+          f"{','.join(map(str, snaps))}; outputs in {out}")
     return 0
 
 
 def cmd_reconstruct(args) -> int:
-    cfg, opts = _resolve(args)
-    out = _out_dir(args, "reconstruct")
-    model, header = _load_model(args)
-    set_norm_mode(model, opts.bn_mode)
+    cfg, opts, out, model, spec, shape = _open(args, "reconstruct")
     data = _load_split(opts, cfg.seed, "test")
     n = min(args.n, len(data))
-    variance = (args.corruption_variance
-                if args.corruption_variance is not None
-                else model.corruption_variance)
-    spec = CorruptionSpec(variance)
     errors_path = out / "errors.csv"
     _write_manifest(out, "reconstruct", cfg, opts,
                     inputs=[str(args.checkpoint), data.source],
@@ -284,16 +249,9 @@ def cmd_reconstruct(args) -> int:
     corrupted = corrupt(clean, spec, rng)
     z = model.chain_encode(corrupted, rng)
     recon = model.chain_decode(z, rng)
-
-    image_shape = header.get("data_shape")
     for stem, batch in (("clean", clean), ("corrupted", corrupted),
                         ("reconstructed", recon)):
-        if image_shape:
-            cols = 8 if n > 8 else n
-            rows = math.ceil(n / cols)
-            write_image_grid(out / f"{stem}.pgm", batch, rows, cols, *image_shape)
-        else:
-            _write_csv(out / f"{stem}.csv", batch, "x")
+        _write_batch(out, stem, batch, shape)
     with open(errors_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "corruption_sq_error", "reconstruction_sq_error"])
@@ -309,10 +267,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg, opts = _resolve(args)
-    out = _out_dir(args, "evaluate")
-    model, _ = _load_model(args)
-    set_norm_mode(model, opts.bn_mode)
+    cfg, opts, out, model, spec, _ = _open(args, "evaluate")
     data = _load_split(opts, cfg.seed, "test")
     report_path = out / "report.csv"
     _write_manifest(out, "evaluate", cfg, opts,
@@ -323,7 +278,6 @@ def cmd_evaluate(args) -> int:
     reference = LatentBatch(model.chain_encode(data.samples[:n_ref], rng),
                             provenance="encoded")
     z0 = sample_prior(opts.chains, PriorSpec(model.latent_dim), rng)
-    spec = CorruptionSpec(model.corruption_variance)
     # chain_diagnostics reads latents only: keep each step without its batches.
     steps = []
     trace = run_chain(model, z0, max(opts.steps), denoising=model.denoising,
@@ -371,56 +325,58 @@ def build_parser() -> argparse.ArgumentParser:
                     "by walking a Markov chain in latent space.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
+    def key(p, name, help=None, **kw):
+        """A flag that sets config key `name`, parsed by that key's parser."""
+        parse = _CONFIG_KEYS[name]
+        if hasattr(parse, "choices"):
+            kw["metavar"] = "{" + ",".join(parse.choices) + "}"
+        p.add_argument("--" + name.replace("_", "-"), type=_flag_type(parse),
+                       help=help, **kw)
+
+    def common(name, help):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="path to a `key = value` config file")
-        p.add_argument("--seed", type=int, help="run seed (default 0)")
+        key(p, "seed", "run seed (default 0)")
         p.add_argument("--out", help="output directory")
+        return p
 
-    p_train = sub.add_parser("train", help="train a model variant")
-    common(p_train)
-    p_train.add_argument("--variant", choices=("vae", "dvae", "aae", "daae"))
-    p_train.add_argument("--corruption-variance", type=float)
+    def walk(name, help):
+        p = common(name, help)
+        p.add_argument("--checkpoint", required=True)
+        key(p, "bn_mode")
+        return p
 
-    p_sample = sub.add_parser("sample", help="prior samples refined by the chain")
-    common(p_sample)
-    p_sample.add_argument("--checkpoint", required=True)
-    p_sample.add_argument("--n", type=int, help="number of parallel chains")
-    p_sample.add_argument("--steps", type=_steps_arg,
-                          help="comma-separated step indices (default 0,1,5,10)")
-    p_sample.add_argument("--corruption-variance", type=float)
-    p_sample.add_argument("--bn-mode", choices=("train", "eval"))
+    count = _flag_type(_parse_count)
 
-    p_interp = sub.add_parser("interpolate", help="slerp grid, optionally refined")
-    common(p_interp)
-    p_interp.add_argument("--checkpoint", required=True)
+    p_train = common("train", "train a model variant")
+    key(p_train, "variant")
+    key(p_train, "corruption_variance")
+
+    p_sample = walk("sample", "prior samples refined by the chain")
+    p_sample.add_argument("--n", type=count, help="number of parallel chains")
+    key(p_sample, "steps", "comma-separated step indices (default 0,1,5,10)")
+    key(p_sample, "corruption_variance")
+
+    p_interp = walk("interpolate", "slerp grid, optionally refined")
     p_interp.add_argument("--indices", type=_indices_arg, default=(0, 1, 2, 3),
                           help="four test-item corner indices")
     p_interp.add_argument("--rows", type=int, default=8)
     p_interp.add_argument("--cols", type=int, default=8)
-    p_interp.add_argument("--steps", type=_steps_arg)
-    p_interp.add_argument("--bn-mode", choices=("train", "eval"))
+    key(p_interp, "steps")
 
-    p_recon = sub.add_parser("reconstruct", help="denoise corrupted test items")
-    common(p_recon)
-    p_recon.add_argument("--checkpoint", required=True)
-    p_recon.add_argument("--n", type=int, default=16)
-    p_recon.add_argument("--corruption-variance", type=float)
-    p_recon.add_argument("--bn-mode", choices=("train", "eval"))
+    p_recon = walk("reconstruct", "denoise corrupted test items")
+    p_recon.add_argument("--n", type=count, default=16)
+    key(p_recon, "corruption_variance")
 
-    p_eval = sub.add_parser("evaluate", help="distribution metrics along the chain")
-    common(p_eval)
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--chains", type=int)
-    p_eval.add_argument("--steps", type=_steps_arg)
-    p_eval.add_argument("--bn-mode", choices=("train", "eval"))
+    p_eval = walk("evaluate", "distribution metrics along the chain")
+    key(p_eval, "chains")
+    key(p_eval, "steps")
 
-    p_oracle = sub.add_parser("oracle-check",
-                              help="closed-form verification suite")
-    common(p_oracle)
+    p_oracle = common("oracle-check", "closed-form verification suite")
     p_oracle.add_argument("--spectral-radius", type=float, default=0.5,
                           help="contraction of the base system (>= 1 to "
                                "demonstrate divergence detection)")
-    p_oracle.add_argument("--chains", type=int, default=10_000)
+    key(p_oracle, "chains", default=10_000)
     p_oracle.add_argument("--tol-cov", type=float, default=0.05)
     return parser
 

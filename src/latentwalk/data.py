@@ -526,10 +526,19 @@ def _parse_float(v: str) -> float:
     return out
 
 
+def _parse_count(v: str) -> int:
+    out = int(v, 10)
+    if out < 1:
+        raise ValueError("must be >= 1")
+    return out
+
+
 def _parse_int_list(v: str) -> tuple[int, ...]:
     items = tuple(int(p.strip(), 10) for p in v.split(",") if p.strip())
     if not items:
         raise ValueError("empty list")
+    if any(i < 0 for i in items):
+        raise ValueError("entries must be >= 0")
     return items
 
 
@@ -539,6 +548,7 @@ def _parse_choice(options):
         if v not in options:
             raise ValueError(f"must be one of {', '.join(options)}")
         return v
+    parse.choices = options
     return parse
 
 
@@ -565,32 +575,32 @@ _CONFIG_KEYS = {
     "mixture_std": _parse_float,
     "train_size": _parse_int,
     "test_size": _parse_int,
-    "chains": _parse_int,
+    "chains": _parse_count,
     "steps": _parse_int_list,
     "bn_mode": _parse_choice(("train", "eval")),
     "precision": _parse_choice(("double", "single")),
 }
 
-_TRAIN_KEYS = ("epochs", "batch_size", "alpha", "beta1", "beta2", "epsilon",
-               "seed", "reconstruction_loss")
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig)
+                    if f.name in _CONFIG_KEYS)
 
 
-def parse_config(source: str | Path) -> tuple[TrainConfig, RunOptions]:
+def parse_config(source: str | Path, overrides: Mapping | None = None
+                 ) -> tuple[TrainConfig, RunOptions]:
     """Parse `key = value` config text (a path to it, or the text itself).
 
     Omitted keys keep their defaults (20 epochs; Adam 2e-4/0.5/0.999;
     corruption variance 0.25). Unknown keys and bad values raise with the
-    1-based line number.
+    1-based line number. `overrides` maps config keys to values already
+    parsed by the key's parser in `_CONFIG_KEYS`; they win over the text.
     """
-    if isinstance(source, Path):
-        text = source.read_text()
-    elif source.strip() and "=" not in source and "\n" not in source:
-        p = Path(source)
-        if not p.is_file():
-            raise ConfigError(f"config file not found: {source!r}", 0)
-        text = p.read_text()
-    else:
+    if isinstance(source, str) and (not source.strip() or "=" in source
+                                    or "\n" in source):
         text = source
+    elif Path(source).is_file():
+        text = Path(source).read_text()
+    else:
+        raise ConfigError(f"config file not found: {str(source)!r}", 0)
 
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -608,6 +618,11 @@ def parse_config(source: str | Path) -> tuple[TrainConfig, RunOptions]:
             values[key] = _CONFIG_KEYS[key](val)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {exc}", lineno) from None
+    overrides = overrides or {}
+    unknown = sorted(set(overrides) - set(_CONFIG_KEYS))
+    if unknown:
+        raise ContractViolation(f"unknown config keys {unknown}")
+    values.update(overrides)
 
     variant = values.get("variant", "vae")
     _, denoising = resolve_variant(variant)
@@ -616,8 +631,6 @@ def parse_config(source: str | Path) -> tuple[TrainConfig, RunOptions]:
         corruption=CorruptionSpec(values.get("corruption_variance", 0.25)),
         **{k: values[k] for k in _TRAIN_KEYS if k in values},
     )
-    opts = RunOptions(variant=variant)
-    for f in fields(RunOptions):
-        if f.name in values:
-            setattr(opts, f.name, values[f.name])
+    opts = RunOptions(**{f.name: values[f.name] for f in fields(RunOptions)
+                         if f.name in values})
     return cfg, opts

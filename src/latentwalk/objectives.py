@@ -159,10 +159,11 @@ def _reconstruction_fn(cfg: TrainConfig):
 
 
 def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
-                rng: Rng | None = None, state: TrainState | None = None,
-                epoch: int = 1) -> EpochStats:
+                state: TrainState, epoch: int = 1) -> EpochStats:
     """One pass over the data: one (VAE) or three (AAE) update steps per batch.
 
+    `state` (from `init_train_state`) carries the optimizers and the shuffle
+    and noise stream from one epoch to the next.
     Denoising variants encode corrupt(x) but reconstruct against the clean x.
     A partial trailing batch is dropped so every update sees batch_size rows.
     """
@@ -176,10 +177,7 @@ def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
     n = samples.shape[0]
     if cfg.batch_size > n:
         raise ContractViolation(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
-    if state is None:
-        state = init_train_state(model, cfg)
-    if rng is None:
-        rng = state.rng
+    rng = state.rng
     loss_fn = _reconstruction_fn(cfg)
 
     order = rng.permutation(n)

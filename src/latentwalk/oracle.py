@@ -220,6 +220,8 @@ def run_oracle_suite(seed: int = 0, radius: float = 0.5, n_chains: int = 10_000,
     from .chain import LatentBatch, run_chain
     from .objectives import CorruptionSpec
 
+    if not np.isfinite(radius):
+        raise ContractViolation(f"spectral radius must be finite, got {radius}")
     results: list[CheckResult] = []
     rng = Rng(seed).derive("oracle-suite")
     b = 2

@@ -239,7 +239,8 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
     out = np.where(a.data > 0.0, a.data, slope * a.data)
 
     def bw(g):
-        return [(a, g * np.where(a.data > 0.0, 1.0, slope))]
+        mask = np.where(a.data > 0.0, 1.0, slope)
+        return [(a, g * mask.astype(a.data.dtype, copy=False))]
 
     return _make(out, (a,), bw)
 

@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latentwalk import (CorruptionSpec, GenerativeAutoencoder, PriorSpec, Rng,
-                        export_trace, load_arrays, load_checkpoint,
-                        read_checkpoint_header, run_chain, sample_prior,
-                        save_checkpoint)
+from latentwalk import (ConfigError, CorruptionSpec, GenerativeAutoencoder,
+                        PriorSpec, Rng, export_trace, load_arrays,
+                        load_checkpoint, parse_config, read_checkpoint_header,
+                        run_chain, sample_prior, save_checkpoint)
 from latentwalk.cli import main
 
 FAST = ("train_size = 96\n"
@@ -199,6 +199,27 @@ def test_interpolate_bad_indices_rejected(tmp_path, fast_cfg):
     assert code == 1
 
 
+def test_interpolate_negative_index_is_usage_error(tmp_path, fast_cfg, capsys):
+    run = _train(tmp_path, fast_cfg)
+    with pytest.raises(SystemExit) as exc:
+        main(["interpolate", "--checkpoint", str(run / "model.ckpt"),
+              "--config", fast_cfg, "--out", str(tmp_path / "o"),
+              "--indices=-1,0,1,2"])
+    assert exc.value.code == 2
+    assert "argument --indices" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_reconstruct_needs_at_least_one_item(tmp_path, fast_cfg, capsys, n):
+    run = _train(tmp_path, fast_cfg, variant="dvae")
+    with pytest.raises(SystemExit) as exc:
+        main(["reconstruct", "--checkpoint", str(run / "model.ckpt"),
+              "--config", fast_cfg, "--out", str(tmp_path / "o"), f"--n={n}"])
+    assert exc.value.code == 2
+    assert "argument --n" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_reconstruct_reports_errors_per_sample(tmp_path, fast_cfg):
     run = _train(tmp_path, fast_cfg, variant="dvae")
     out = tmp_path / "recon"
@@ -260,6 +281,13 @@ def test_oracle_check_flags_divergence(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_oracle_check_rejects_a_radius_that_is_not_finite(tmp_path, capsys):
+    code = main(["oracle-check", "--out", str(tmp_path / "oc"),
+                 "--chains", "500", "--spectral-radius", "nan"])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 
@@ -282,6 +310,31 @@ def test_bad_config_file_returns_one(tmp_path, capsys):
     code = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value,why", [
+    ("steps", "-1,2", "must be >= 0"),
+    ("variant", "gan", "must be one of"),
+    ("corruption_variance", "nan", "non-finite"),
+    ("bn_mode", "frozen", "must be one of"),
+])
+def test_flag_and_config_key_reject_the_same_values(tmp_path, capsys, key,
+                                                     value, why):
+    """A flag parses with its config key's parser: the same value fails as
+    a usage error on the command line and as a ConfigError in a file."""
+    flag = "--" + key.replace("_", "-")
+    argv = (["train"] if key == "variant" else
+            ["sample", "--checkpoint", str(tmp_path / "none.ckpt")])
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{flag}={value}", "--out", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and why in err
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"epochs = 2\n{key} = {value}\n")
+    with pytest.raises(ConfigError) as bad:
+        parse_config(cfg)
+    assert bad.value.line == 2 and why in str(bad.value)
 
 
 def test_manifest_written_before_outputs(tmp_path, fast_cfg):

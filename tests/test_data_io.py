@@ -380,6 +380,18 @@ def test_parse_config_inline_text():
     assert opts.mixture_std == 0.1
 
 
+def test_parse_config_overrides_win_over_the_text():
+    cfg, opts = parse_config("variant = vae\ncorruption_variance = 0.5\n"
+                             "epochs = 5\n",
+                             {"variant": "daae", "corruption_variance": 0.1,
+                              "steps": (0, 3)})
+    assert cfg.epochs == 5
+    assert cfg.denoising is True and cfg.corruption.variance == 0.1
+    assert opts.variant == "daae" and opts.steps == (0, 3)
+    with pytest.raises(ContractViolation):
+        parse_config("", {"n": 3})
+
+
 def test_parse_config_from_file(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("batch_size = 16\nchains = 123\n")
@@ -413,6 +425,8 @@ def test_parse_config_bad_choice():
 def test_parse_config_missing_file():
     with pytest.raises(ConfigError):
         parse_config("no/such/file.cfg")
+    with pytest.raises(ConfigError):
+        parse_config(Path("no/such/file.cfg"))
 
 
 def test_parse_config_malformed_line():

@@ -188,7 +188,7 @@ def test_train_config_validation():
 def test_vae_epoch_reports_both_terms(tiny_vae, tiny_dataset, fast_config):
     state = init_train_state(tiny_vae, fast_config)
     stats = train_epoch(tiny_vae, tiny_dataset, fast_config,
-                        rng=state.rng, state=state, epoch=1)
+                        state=state, epoch=1)
     assert stats.epoch == 1
     assert isinstance(stats.recon_loss, float)
     assert stats.prior_loss is not None and stats.prior_loss >= 0.0
@@ -198,7 +198,7 @@ def test_vae_epoch_reports_both_terms(tiny_vae, tiny_dataset, fast_config):
 def test_aae_epoch_reports_adversarial_terms(tiny_aae, tiny_dataset, fast_config):
     state = init_train_state(tiny_aae, fast_config)
     stats = train_epoch(tiny_aae, tiny_dataset, fast_config,
-                        rng=state.rng, state=state, epoch=1)
+                        state=state, epoch=1)
     assert stats.prior_loss is None
     assert stats.disc_loss is not None and stats.gen_loss is not None
 
@@ -245,13 +245,10 @@ def test_models_of_either_precision_share_a_process(tiny_dataset, order):
         for dtype, model, state in runs:
             assert model.dtype == dtype
             assert all(p.data.dtype == dtype for p in model.all_params())
-            if variant == "aae":
-                # leaky_relu's backward builds a float64 slope mask, so AAE
-                # gradients and the moments fed by them come back in float64.
-                continue
             assert all(p.grad.dtype == dtype for p in model.all_params())
-            for moments in state.opt_recon._states:
-                assert moments.m.dtype == dtype and moments.v.dtype == dtype
+            for opt in (state.opt_recon, state.opt_disc, state.opt_gen):
+                for moments in opt._states if opt else ():
+                    assert moments.m.dtype == dtype and moments.v.dtype == dtype
 
 
 def test_model_dtype_must_be_a_float_width():
