@@ -146,18 +146,19 @@ def _snapshot_steps(model, z0: LatentBatch, steps: tuple[int, ...],
 
 
 def _open(args, subcommand: str):
-    """Settings, output directory, checkpoint in the chosen norm mode, the
-    corruption spec (flag, else the model's) and the image shape, if any."""
+    """Settings, output directory, checkpoint in the chosen norm mode and the
+    image shape, if any. The settings carry the corruption the walk runs
+    with (flag, else the model's), so the manifest records it."""
     cfg, opts = _resolve(args)
     out = _out_dir(args, subcommand)
     header = read_checkpoint_header(args.checkpoint)
     model = load_checkpoint(args.checkpoint)
     set_norm_mode(model, opts.bn_mode)
     variance = getattr(args, "corruption_variance", None)
-    spec = CorruptionSpec(model.corruption_variance if variance is None
-                          else variance)
+    cfg = replace(cfg, corruption=CorruptionSpec(
+        model.corruption_variance if variance is None else variance))
     shape = header.get("data_shape")
-    return cfg, opts, out, model, spec, tuple(shape) if shape else None
+    return cfg, opts, out, model, tuple(shape) if shape else None
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -189,14 +190,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg, opts, out, model, spec, shape = _open(args, "sample")
+    cfg, opts, out, model, shape = _open(args, "sample")
     n = args.n or opts.chains
     _write_manifest(out, "sample", cfg, opts, inputs=[str(args.checkpoint)],
                     outputs=[str(out / "trace.bin")])
     rng = Rng(cfg.seed).derive("sample")
     z0 = sample_prior(n, PriorSpec(model.latent_dim), rng)
-    snaps = _snapshot_steps(model, z0, opts.steps, model.denoising, spec, rng,
-                            trace_path=out / "trace.bin")
+    snaps = _snapshot_steps(model, z0, opts.steps, model.denoising,
+                            cfg.corruption, rng, trace_path=out / "trace.bin")
     render_rng = Rng(cfg.seed).derive("render")
     for s, latents in snaps.items():
         decoded = model.chain_decode(latents, render_rng)
@@ -210,7 +211,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    cfg, opts, out, model, spec, shape = _open(args, "interpolate")
+    cfg, opts, out, model, shape = _open(args, "interpolate")
     _write_manifest(out, "interpolate", cfg, opts,
                     inputs=[str(args.checkpoint)],
                     outputs=[f"grid_step<k> for k in {list(opts.steps)}"])
@@ -223,7 +224,8 @@ def cmd_interpolate(args) -> int:
         model, Tensor(data.samples[list(args.indices)], dtype=model.dtype)).data
     grid = interpolation_grid(corners, args.rows, args.cols)
     rng = Rng(cfg.seed).derive("interpolate")
-    snaps = _snapshot_steps(model, grid, opts.steps, model.denoising, spec, rng)
+    snaps = _snapshot_steps(model, grid, opts.steps, model.denoising,
+                            cfg.corruption, rng)
     render_rng = Rng(cfg.seed).derive("render")
     for s, latents in snaps.items():
         decoded = model.chain_decode(latents, render_rng)
@@ -237,7 +239,7 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cfg, opts, out, model, spec, shape = _open(args, "reconstruct")
+    cfg, opts, out, model, shape = _open(args, "reconstruct")
     data = _load_split(opts, cfg.seed, "test")
     n = min(args.n, len(data))
     errors_path = out / "errors.csv"
@@ -246,7 +248,7 @@ def cmd_reconstruct(args) -> int:
                     outputs=[str(errors_path)])
     rng = Rng(cfg.seed).derive("reconstruct")
     clean = data.samples[:n]
-    corrupted = corrupt(clean, spec, rng)
+    corrupted = corrupt(clean, cfg.corruption, rng)
     z = model.chain_encode(corrupted, rng)
     recon = model.chain_decode(z, rng)
     for stem, batch in (("clean", clean), ("corrupted", corrupted),
@@ -267,7 +269,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg, opts, out, model, spec, _ = _open(args, "evaluate")
+    cfg, opts, out, model, _ = _open(args, "evaluate")
     data = _load_split(opts, cfg.seed, "test")
     report_path = out / "report.csv"
     _write_manifest(out, "evaluate", cfg, opts,
@@ -281,7 +283,7 @@ def cmd_evaluate(args) -> int:
     # chain_diagnostics reads latents only: keep each step without its batches.
     steps = []
     trace = run_chain(model, z0, max(opts.steps), denoising=model.denoising,
-                      spec=spec, rng=rng, keep=(),
+                      spec=cfg.corruption, rng=rng, keep=(),
                       sink=lambda step: steps.append(
                           replace(step, x=None, x_tilde=None)))
     trace.steps = steps

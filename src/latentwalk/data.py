@@ -533,6 +533,13 @@ def _parse_count(v: str) -> int:
     return out
 
 
+def _parse_variance(v: str) -> float:
+    out = _parse_float(v)
+    if out < 0:
+        raise ValueError("must be >= 0")
+    return out
+
+
 def _parse_int_list(v: str) -> tuple[int, ...]:
     items = tuple(int(p.strip(), 10) for p in v.split(",") if p.strip())
     if not items:
@@ -554,14 +561,14 @@ def _parse_choice(options):
 
 _CONFIG_KEYS = {
     # training objective
-    "epochs": _parse_int,
-    "batch_size": _parse_int,
+    "epochs": _parse_count,
+    "batch_size": _parse_count,
     "alpha": _parse_float,
     "beta1": _parse_float,
     "beta2": _parse_float,
     "epsilon": _parse_float,
     "seed": _parse_int,
-    "corruption_variance": _parse_float,
+    "corruption_variance": _parse_variance,
     "reconstruction_loss": _parse_choice(RECONSTRUCTION_LOSSES),
     # run options
     "variant": _parse_choice(VARIANT_NAMES),

@@ -170,7 +170,7 @@ class OracleModelAdapter:
     def chain_decode(self, z: np.ndarray, rng: Rng) -> np.ndarray:
         x = z @ self.system.D.T
         if self.system.decoder_noise_variance > 0.0:
-            x = x + np.sqrt(self.system.decoder_noise_variance) \
+            x += np.sqrt(self.system.decoder_noise_variance) \
                 * rng.normal((z.shape[0], self.data_dim))
         return x
 

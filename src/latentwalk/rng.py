@@ -5,6 +5,10 @@ run is a pure function of its seed. The generator is counter-based (splitmix64
 applied to seed + index) rather than stateful-iterative: identical seeds give
 identical streams on every platform, and draws can be vectorised without
 changing the sequence.
+
+Draws are made in place, in fixed blocks of `_BLOCK` values, so the working
+set stays in cache however large the request. A value depends only on
+(seed, counter), never on the block size.
 """
 
 from __future__ import annotations
@@ -13,16 +17,24 @@ import numpy as np
 
 from .errors import ContractViolation
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK = 0xFFFFFFFFFFFFFFFF
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+_BLOCK = 1 << 15  # draws per block; no value depends on it
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    # Finalizer of splitmix64; input and output are uint64 arrays.
-    x = (x ^ (x >> np.uint64(30))) * _MIX1
-    x = (x ^ (x >> np.uint64(27))) * _MIX2
-    return x ^ (x >> np.uint64(31))
+def _mix(x: np.ndarray, t: np.ndarray) -> None:
+    """splitmix64's finalizer, in place on the uint64 array `x`; `t` is
+    uint64 scratch of the same shape."""
+    np.right_shift(x, 30, out=t)
+    x ^= t
+    x *= _MIX1
+    np.right_shift(x, 27, out=t)
+    x ^= t
+    x *= _MIX2
+    np.right_shift(x, 31, out=t)
+    x ^= t
 
 
 class Rng:
@@ -33,29 +45,61 @@ class Rng:
     """
 
     def __init__(self, seed: int, counter: int = 0):
-        self.seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        self.seed = np.uint64(seed & _MASK)
         self.counter = int(counter)
 
-    def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+    def _reserve(self, n: int):
+        """Consume the next n raw draws. Returns ``fill(out, i)``, which
+        writes draws i+1 .. i+len(out) of the reservation into the float64
+        block `out` (at most `_BLOCK` long) as uniforms ``(raw >> 11) * 2^-53``
+        in [0, 1), using one uint64 scratch buffer and `out` itself."""
+        first = int(self.seed) + self.counter * _GOLDEN
         self.counter += n
-        with np.errstate(over="ignore"):
-            return _splitmix64(self.seed + idx * _GOLDEN)
+        size = min(n, _BLOCK)
+        steps = np.arange(1, size + 1, dtype=np.uint64) * _GOLDEN
+        scratch = np.empty(size, dtype=np.uint64)
+
+        def fill(out: np.ndarray, i: int) -> None:
+            x = scratch[:len(out)]
+            key = np.uint64((first + i * _GOLDEN) & _MASK)
+            np.add(steps[:len(out)], key, out=x)
+            _mix(x, out.view(np.uint64))
+            x >>= 11
+            np.multiply(x, 2.0 ** -53, out=out)
+
+        return fill
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform draws in [0, 1), float64, of the given shape."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape)) if shape else 1
-        u = (self._raw(n) >> np.uint64(11)) * (2.0 ** -53)
+        fill = self._reserve(n)
+        u = np.empty(n)
+        for i in range(0, n, _BLOCK):
+            fill(u[i:i + _BLOCK], i)
         return u.reshape(shape) if shape else u[0]
 
     def normal(self, shape=()) -> np.ndarray:
-        """Standard normal draws via the Box-Muller transform."""
+        """Standard normal draws via the Box-Muller transform: value j is
+        ``sqrt(-2 log(1 - u1)) * cos(2 pi u2)`` with u1 the (j+1)-th and u2 the
+        (n+j+1)-th uniform of the 2n drawn."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape)) if shape else 1
-        u1 = 1.0 - (self._raw(n) >> np.uint64(11)) * (2.0 ** -53)  # (0, 1]
-        u2 = (self._raw(n) >> np.uint64(11)) * (2.0 ** -53)
-        z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+        fill = self._reserve(2 * n)
+        z = np.empty(n)
+        radius = np.empty(min(n, _BLOCK))
+        for i in range(0, n, _BLOCK):
+            out = z[i:i + _BLOCK]
+            r = radius[:len(out)]
+            fill(r, i)
+            np.subtract(1.0, r, out=r)  # (0, 1]
+            np.log(r, out=r)
+            r *= -2.0
+            np.sqrt(r, out=r)
+            fill(out, n + i)
+            out *= 2.0 * np.pi
+            np.cos(out, out=out)
+            out *= r
         return z.reshape(shape) if shape else z[0]
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
@@ -75,5 +119,6 @@ class Rng:
         with np.errstate(over="ignore"):
             for b in tag.encode():
                 h = (h ^ np.uint64(b)) * np.uint64(16777619)
-            mixed = _splitmix64(np.array([self.seed ^ h]))[0]
-        return Rng(int(mixed))
+        mixed = np.array([self.seed ^ h])
+        _mix(mixed, np.empty_like(mixed))
+        return Rng(int(mixed[0]))

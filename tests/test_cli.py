@@ -317,24 +317,49 @@ def test_bad_config_file_returns_one(tmp_path, capsys):
     ("variant", "gan", "must be one of"),
     ("corruption_variance", "nan", "non-finite"),
     ("bn_mode", "frozen", "must be one of"),
+    ("epochs", "0", "must be >= 1"),
+    ("batch_size", "0", "must be >= 1"),
+    ("corruption_variance", "-1", "must be >= 0"),
 ])
 def test_flag_and_config_key_reject_the_same_values(tmp_path, capsys, key,
                                                      value, why):
     """A flag parses with its config key's parser: the same value fails as
-    a usage error on the command line and as a ConfigError in a file."""
+    a usage error on the command line and as a ConfigError in a file.
+    Config-only keys are checked in a file only."""
     flag = "--" + key.replace("_", "-")
     argv = (["train"] if key == "variant" else
             ["sample", "--checkpoint", str(tmp_path / "none.ckpt")])
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, f"{flag}={value}", "--out", str(tmp_path / "o")])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"argument {flag}" in err and why in err
+    if key not in ("epochs", "batch_size"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, f"{flag}={value}", "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and why in err
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"epochs = 2\n{key} = {value}\n")
     with pytest.raises(ConfigError) as bad:
         parse_config(cfg)
     assert bad.value.line == 2 and why in str(bad.value)
+
+
+def test_walk_manifests_record_the_corruption_the_walk_used(tmp_path, fast_cfg):
+    """Without the flag a walk corrupts with the checkpoint's variance, not
+    the config's default, and its manifest must say so."""
+    run = tmp_path / "dvae-run"
+    assert main(["train", "--variant", "dvae", "--corruption-variance", "0.1",
+                 "--config", fast_cfg, "--out", str(run)]) == 0
+    ckpt = str(run / "model.ckpt")
+    for sub, flags, variance in (("sample", [], 0.1), ("evaluate", [], 0.1),
+                                 ("reconstruct", [], 0.1),
+                                 ("interpolate", [], 0.1),
+                                 ("sample", ["--corruption-variance", "0.3"], 0.3),
+                                 ("reconstruct", ["--corruption-variance", "0.3"],
+                                  0.3)):
+        out = tmp_path / f"{sub}-{variance}"
+        assert main([sub, "--checkpoint", ckpt, "--config", fast_cfg,
+                     "--out", str(out), *flags]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["train"]["corruption"] == {"variance": variance}
 
 
 def test_manifest_written_before_outputs(tmp_path, fast_cfg):

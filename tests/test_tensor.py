@@ -144,6 +144,36 @@ def test_sigmoid_stays_finite_at_extremes():
     assert s.data[0] >= 0.0 and s.data[1] <= 1.0
 
 
+def _two_branch_sigmoid(x):
+    """The masked formula sigmoid computed before it dropped boolean masks."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+@pytest.mark.parametrize("dtype,magnitudes", [
+    (np.float64, (0.0, 30.0, 745.0, 800.0)),
+    (np.float32, (0.0, 88.0, 104.0)),
+])
+def test_sigmoid_is_bit_identical_to_the_two_branch_formula(dtype, magnitudes):
+    edges = [sign * m for m in magnitudes for sign in (1.0, -1.0)]
+    spread = np.linspace(-60.0, 60.0, 1001)
+    x = np.concatenate([edges, spread]).astype(dtype)
+    assert np.signbit(x[1]) and x[1] == 0.0  # -0.0 is among the inputs
+    w = Tensor(x, requires_grad=True, dtype=dtype)
+    s = T.sigmoid(w)
+    expected = _two_branch_sigmoid(x)
+    assert s.data.dtype == dtype
+    assert s.data.tobytes() == expected.tobytes()
+    T.tsum(s).backward()
+    grad = np.ones_like(x) * expected * (1.0 - expected)
+    assert w.grad.dtype == dtype
+    assert w.grad.tobytes() == grad.tobytes()
+
+
 def test_log_rejects_non_positive():
     with pytest.raises(DomainError):
         T.log(Tensor([0.0]))
