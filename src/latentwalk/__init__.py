@@ -26,7 +26,7 @@ from .objectives import (CorruptionSpec, EpochStats, TrainConfig,
                          adversarial_losses, corrupt, kl_prior_gaussian,
                          recon_cross_entropy, recon_squared_error,
                          train_epoch, train_model, write_loss_log)
-from .optim import Adam, AdamState, adam_step
+from .optim import Adam
 from .oracle import (CheckResult, OracleModelAdapter, OracleSystem,
                      oracle_sample_chain, oracle_transition_moments,
                      random_contractive_system, run_oracle_suite,

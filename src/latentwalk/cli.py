@@ -147,16 +147,19 @@ def _snapshot_steps(model, z0: LatentBatch, steps: tuple[int, ...],
 
 def _open(args, subcommand: str):
     """Settings, output directory, checkpoint in the chosen norm mode and the
-    image shape, if any. The settings carry the corruption the walk runs
-    with (flag, else the model's), so the manifest records it."""
+    image shape, if any. For the manifest, the settings carry the model's
+    variant, denoising flag and precision, and the walk's corruption (flag,
+    else the model's), not the config file's."""
     cfg, opts = _resolve(args)
     out = _out_dir(args, subcommand)
     header = read_checkpoint_header(args.checkpoint)
     model = load_checkpoint(args.checkpoint)
     set_norm_mode(model, opts.bn_mode)
     variance = getattr(args, "corruption_variance", None)
-    cfg = replace(cfg, corruption=CorruptionSpec(
+    cfg = replace(cfg, denoising=model.denoising, corruption=CorruptionSpec(
         model.corruption_variance if variance is None else variance))
+    opts = replace(opts, variant=("d" if model.denoising else "") + model.variant,
+                   precision="single" if model.dtype == np.float32 else "double")
     shape = header.get("data_shape")
     return cfg, opts, out, model, tuple(shape) if shape else None
 

@@ -36,20 +36,10 @@ class DenseLayer:
             raise ShapeMismatchError(
                 f"dense layer expects (n, {self.in_dim}), got {x.data.shape}"
             )
-        return T.matmul(x, _transpose(self.weights)) + self.bias
+        return T.matmul(x, self.weights, self.bias, transpose_b=True)
 
     def params(self) -> list[Tensor]:
         return [self.weights, self.bias]
-
-
-def _transpose(w: Tensor) -> Tensor:
-    # A view-free transpose built as its own graph node.
-    out = w.data.T.copy()
-
-    def bw(g):
-        return [(w, g.T.copy())]
-
-    return T._make(out, (w,), bw)
 
 
 _ACTIVATION_KINDS = ("relu", "leaky_relu", "sigmoid", "tanh")
@@ -107,20 +97,16 @@ class BatchNormLayer:
                     f"train-mode batch norm needs at least 2 rows, got "
                     f"{x.data.shape[0]}; a single row normalizes to beta "
                     f"whatever its input")
-            mu = T.tmean(x, axis=0)                       # (1, dim)
-            centered = x - mu
-            var = T.tmean(centered * centered, axis=0)    # biased, (1, dim)
-            inv_std = T.exp(T.scale(T.log(var + self.eps), -0.5))
-            x_hat = centered * inv_std
+            out, mu, var = T.batch_norm(x, self.gamma, self.beta, self.eps)
             if update_running:
                 m = self.momentum
-                self.running_mean = (1 - m) * self.running_mean + m * mu.data[0]
-                self.running_var = (1 - m) * self.running_var + m * var.data[0]
-        else:
-            inv = 1.0 / np.sqrt(self.running_var + self.eps)
-            dtype = x.data.dtype
-            x_hat = ((x - Tensor(self.running_mean, dtype=dtype))
-                     * Tensor(inv, dtype=dtype))
+                self.running_mean = (1 - m) * self.running_mean + m * mu[0]
+                self.running_var = (1 - m) * self.running_var + m * var[0]
+            return out
+        inv = 1.0 / np.sqrt(self.running_var + self.eps)
+        dtype = x.data.dtype
+        x_hat = ((x - Tensor(self.running_mean, dtype=dtype))
+                 * Tensor(inv, dtype=dtype))
         return x_hat * self.gamma + self.beta
 
     def params(self) -> list[Tensor]:

@@ -6,7 +6,7 @@ first-moment decay 0.5, second-moment decay 0.999.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,29 +15,13 @@ from .tensor import Tensor
 
 
 @dataclass
-class AdamState:
-    """Moment estimates for one parameter tensor."""
-
-    m: np.ndarray
-    v: np.ndarray
-
-
-def adam_step(param: Tensor, state: AdamState, step: int, alpha: float,
-              beta1: float, beta2: float, epsilon: float) -> None:
-    """One in-place Adam update; `step` is 1-based and drives bias correction."""
-    if param.grad is None:
-        raise ContractViolation("adam_step on a parameter with no gradient")
-    g = param.grad
-    state.m = beta1 * state.m + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * (g * g)
-    m_hat = state.m / (1.0 - beta1 ** step)
-    v_hat = state.v / (1.0 - beta2 ** step)
-    param.data -= alpha * m_hat / (np.sqrt(v_hat) + epsilon)
-
-
-@dataclass
 class Adam:
-    """Optimizer over a fixed parameter list; call order: backward, step, zero_grad."""
+    """Optimizer over a fixed parameter list; call order: backward, step, zero_grad.
+
+    Moments and scratch are flat buffers over all parameters. A step gathers
+    the gradients, applies the per-parameter formula's ops in its order with
+    whole-buffer in-place ops, and subtracts a slice from each parameter.
+    """
 
     params: list[Tensor]
     alpha: float = 2e-4
@@ -45,22 +29,39 @@ class Adam:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step_count: int = 0
-    _states: list[AdamState] = field(default_factory=list, repr=False)
 
     def __post_init__(self):
         if not self.params:
             raise ContractViolation("Adam needs at least one parameter")
-        self._states = [
-            AdamState(m=np.zeros_like(p.data), v=np.zeros_like(p.data))
-            for p in self.params
-        ]
+        if len({p.data.dtype for p in self.params}) != 1:
+            raise ContractViolation("Adam parameters must share one dtype")
+        ends = np.cumsum([p.data.size for p in self.params]).tolist()
+        self._m, self._v, self._g, self._s = np.zeros(
+            (4, ends[-1]), dtype=self.params[0].data.dtype)
+        self._updates = [self._s[end - p.data.size:end].reshape(p.data.shape)
+                         for p, end in zip(self.params, ends)]
 
     def step(self) -> None:
-        """Apply one update to every parameter (all must hold gradients)."""
+        """Update every parameter; if one lacks a gradient of its shape, raise
+        ContractViolation before changing anything."""
+        for p in self.params:
+            if p.grad is None or p.grad.shape != p.data.shape:
+                raise ContractViolation(f"Adam: no gradient of shape {p.data.shape}")
         self.step_count += 1
-        for p, s in zip(self.params, self._states):
-            adam_step(p, s, self.step_count, self.alpha, self.beta1,
-                      self.beta2, self.epsilon)
+        b1, b2, m, v, g, s = self.beta1, self.beta2, self._m, self._v, self._g, self._s
+        np.concatenate([p.grad.reshape(-1) for p in self.params], out=g)
+        m *= b1  # m = b1 m + (1 - b1) g
+        m += np.multiply(g, 1.0 - b1, out=s)
+        v *= b2  # v = b2 v + (1 - b2) g g
+        v += np.multiply(np.multiply(g, g, out=g), 1.0 - b2, out=g)
+        # update = alpha m_hat / (sqrt(v_hat) + epsilon)
+        np.sqrt(np.divide(v, 1.0 - b2 ** self.step_count, out=g), out=g)
+        g += self.epsilon
+        np.divide(m, 1.0 - b1 ** self.step_count, out=s)
+        s *= self.alpha
+        s /= g
+        for p, update in zip(self.params, self._updates):
+            p.data -= update
 
     def zero_grad(self) -> None:
         for p in self.params:

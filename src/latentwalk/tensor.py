@@ -5,6 +5,12 @@ any input requires gradients, and `Tensor.backward()` walks the graph in
 reverse topological order. Storage is float64 numpy unless a tensor is built
 with `dtype=np.float32`; scalars mixed into an op take the other operand's
 dtype.
+
+Every graph node comes from a public function here. Training builds coarse
+nodes with hand-written backwards: a dense layer is one `matmul` (bias and
+transposed weight), train-mode batch norm one `batch_norm`, and each loss one
+`binary_cross_entropy` or `gaussian_kl`, whose forwards keep the ops of the
+composite graphs they replace.
 """
 
 from __future__ import annotations
@@ -70,35 +76,32 @@ class Tensor:
                 f"backward() requires a scalar loss, got shape {self.data.shape}"
             )
         topo: list[Tensor] = []
-        seen: set[int] = set()
+        seen: set[Tensor] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 topo.append(node)
                 continue
-            if id(node) in seen:
+            if node in seen:
                 continue
-            seen.add(id(node))
+            seen.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in seen:
+                if p not in seen:
                     stack.append((p, False))
 
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
+        grads: dict[Tensor, np.ndarray] = {self: np.ones_like(self.data)}
         for node in reversed(topo):
-            g = grads.pop(id(node), None)
+            g = grads.pop(node, None)
             if g is None:
                 continue
-            if node.requires_grad and node._backward is None:
-                # leaf
-                node.grad = g if node.grad is None else node.grad + g
             if node._backward is not None:
                 for parent, contrib in node._backward(g):
-                    if id(parent) in grads:
-                        grads[id(parent)] = grads[id(parent)] + contrib
-                    else:
-                        grads[id(parent)] = contrib
+                    prev = grads.get(parent)
+                    grads[parent] = contrib if prev is None else prev + contrib
+            elif node.requires_grad:  # leaf
+                node.grad = g if node.grad is None else node.grad + g
 
     # -- operator sugar ------------------------------------------------------
 
@@ -134,16 +137,10 @@ def _as_tensor(x, like: Tensor) -> Tensor:
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward: Callable[[np.ndarray], list]) -> Tensor:
     out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
-    else:
-        out.requires_grad = False
-        out._parents = ()
-        out._backward = None
+    out.data, out.grad = data, None
+    out.requires_grad = any(p.requires_grad for p in parents)
+    out._parents = tuple(parents) if out.requires_grad else ()
+    out._backward = backward if out.requires_grad else None
     return out
 
 
@@ -169,17 +166,26 @@ def _check_broadcast(kind: str, a: Tensor, b: Tensor) -> None:
 # -- primitives ---------------------------------------------------------------
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeMismatchError(
-            f"matmul: shapes {a.data.shape} and {b.data.shape} do not conform"
-        )
-    out = a.data @ b.data
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None,
+           transpose_b: bool = False) -> Tensor:
+    """a @ b, or a @ b.T with `transpose_b`, plus `bias` broadcast over rows."""
+    bd = b.data.T if transpose_b else b.data
+    if (a.data.ndim != 2 or bd.ndim != 2 or a.data.shape[1] != bd.shape[0]
+            or (bias is not None and bias.data.shape != bd.shape[1:])):
+        raise ShapeMismatchError(f"matmul: shapes {a.data.shape} and {bd.shape} "
+                                 f"with bias {bias and bias.data.shape} do not conform")
+    # Copying the transpose keeps the bytes of an explicitly transposed weight.
+    out = a.data @ (bd.copy() if transpose_b else bd)
+    if bias is not None:
+        out += bias.data
 
     def bw(g):
-        return [(a, g @ b.data.T), (b, a.data.T @ g)]
+        grads = [(b, g.T @ a.data if transpose_b else a.data.T @ g)]
+        if a.requires_grad:  # skipped for the data fed to a first layer
+            grads.append((a, g @ bd.T))
+        return grads + ([] if bias is None else [(bias, g.sum(axis=0))])
 
-    return _make(out, (a, b), bw)
+    return _make(out, (a, b) if bias is None else (a, b, bias), bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -313,28 +319,6 @@ def tmean(a: Tensor, axis: Optional[int] = None) -> Tensor:
     return _make(np.asarray(out), (a,), bw)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
-    tensors = list(tensors)
-    if not tensors:
-        raise ContractViolation("concat of an empty sequence")
-    ndim = tensors[0].data.ndim
-    for t in tensors[1:]:
-        if t.data.ndim != ndim:
-            raise ShapeMismatchError("concat: mismatched ranks")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    offsets = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
-
-    def bw(g):
-        sl = [slice(None)] * ndim
-        contribs = []
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            sl[axis] = slice(start, stop)
-            contribs.append((t, g[tuple(sl)].copy()))
-        return contribs
-
-    return _make(out, tuple(tensors), bw)
-
-
 def tslice(a: Tensor, start: int, stop: int, axis: int = 1) -> Tensor:
     extent = a.data.shape[axis]
     if not (0 <= start <= stop <= extent):
@@ -351,6 +335,80 @@ def tslice(a: Tensor, start: int, stop: int, axis: int = 1) -> Tensor:
         return [(a, full)]
 
     return _make(out, (a,), bw)
+
+
+def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
+               eps: float) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Train-mode batch norm of the rows of x, x_hat * gamma + beta, as one
+    node; also returns the batch mean and biased variance, shape (1, d)."""
+    if x.data.ndim != 2 or not gamma.data.shape == beta.data.shape == x.data.shape[1:]:
+        raise ShapeMismatchError(f"batch_norm: input {x.data.shape}, gamma "
+                                 f"{gamma.data.shape}, beta {beta.data.shape}")
+    mu = x.data.mean(axis=0, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=0, keepdims=True)
+    shifted = var + np.asarray(eps, dtype=x.data.dtype)
+    if np.any(shifted <= 0.0):
+        raise DomainError("batch_norm: variance + eps must be positive")
+    inv_std = np.exp(np.log(shifted) * -0.5)
+    x_hat = centered * inv_std
+    out = x_hat * gamma.data
+    out += beta.data
+
+    def bw(g):
+        # With s = inv_std and d = g * gamma, d/dcentered is
+        # s d - centered s^3 mean(d centered), and d/dx that less its mean.
+        d = g * gamma.data
+        dc = d * inv_std
+        dc -= centered * (inv_std ** 3 * (d * centered).mean(axis=0))
+        dc -= dc.mean(axis=0)
+        return [(x, dc), (gamma, (g * x_hat).sum(axis=0)), (beta, g.sum(axis=0))]
+
+    return _make(out, (x, gamma, beta), bw), mu, var
+
+
+def _check_pair(kind: str, a: Tensor, b: Tensor) -> None:
+    if a.data.shape != b.data.shape or a.data.ndim != 2:
+        raise ShapeMismatchError(f"{kind}: shapes {a.data.shape} and {b.data.shape}")
+
+
+def binary_cross_entropy(x: Tensor, x_hat: Tensor) -> Tensor:
+    """-sum_coords [x log x_hat + (1-x) log(1-x_hat)], averaged over rows."""
+    _check_pair("binary_cross_entropy", x, x_hat)
+    if np.any(x.data < 0.0) or np.any(x.data > 1.0):
+        raise ContractViolation("cross-entropy targets must lie in [0,1]")
+    if np.any(x_hat.data <= 0.0) or np.any(x_hat.data >= 1.0):
+        raise DomainError("cross-entropy predictions must lie strictly in (0,1)")
+    one = np.asarray(1.0, dtype=x.data.dtype)
+    miss, miss_hat = one - x.data, one - x_hat.data
+    log_hat, log_miss = np.log(x_hat.data), np.log(miss_hat)
+    term = x.data * log_hat + miss * log_miss
+    out = np.asarray(term.sum(axis=1, keepdims=True).mean() * -1.0)
+
+    def bw(g):
+        c = g * -1.0 / x.data.shape[0]
+        grads = [(x_hat, c * (x.data / x_hat.data - miss / miss_hat))]
+        if x.requires_grad:  # targets usually do not
+            grads.append((x, c * (log_hat - log_miss)))
+        return grads
+
+    return _make(out, (x, x_hat), bw)
+
+
+def gaussian_kl(mu: Tensor, sigma: Tensor) -> Tensor:
+    """KL(N(mu, diag sigma^2) || N(0, I)) summed over columns, averaged over rows."""
+    _check_pair("gaussian_kl", mu, sigma)
+    if np.any(sigma.data <= 0.0):
+        raise ContractViolation("sigma must be strictly positive")
+    m, s = mu.data, sigma.data
+    term = m * m + s * s - np.log(s) * 2.0 - np.asarray(1.0, dtype=m.dtype)
+    out = np.asarray(term.sum(axis=1, keepdims=True).mean() * 0.5)
+
+    def bw(g):
+        c = g * 0.5 / m.shape[0]
+        return [(mu, c * 2.0 * m), (sigma, c * (2.0 * s - 2.0 / s))]
+
+    return _make(out, (mu, sigma), bw)
 
 
 def finite_diff_check(f: Callable[[], Tensor], params: Iterable[Tensor],

@@ -362,6 +362,24 @@ def test_walk_manifests_record_the_corruption_the_walk_used(tmp_path, fast_cfg):
         assert manifest["config"]["train"]["corruption"] == {"variance": variance}
 
 
+@pytest.mark.parametrize("variant", ["dvae", "daae"])
+def test_walk_manifests_record_the_model_that_ran(tmp_path, fast_cfg, variant):
+    """A walk's manifest names the checkpoint's variant and denoising flag
+    and the precision the walk ran in (checkpoints load in double), not what
+    a config file that names no variant and asks for single precision says."""
+    run = _train(tmp_path, fast_cfg, variant=variant)
+    walk_cfg = tmp_path / "single.cfg"
+    walk_cfg.write_text(FAST + "precision = single\n")
+    for sub in ("sample", "evaluate", "reconstruct", "interpolate"):
+        out = tmp_path / f"{variant}-{sub}"
+        assert main([sub, "--checkpoint", str(run / "model.ckpt"),
+                     "--config", str(walk_cfg), "--out", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["options"]["variant"] == variant
+        assert config["train"]["denoising"] is True
+        assert config["options"]["precision"] == "double"
+
+
 def test_manifest_written_before_outputs(tmp_path, fast_cfg):
     """Interpolate with out-of-range corners still leaves a manifest behind."""
     run = _train(tmp_path, fast_cfg)

@@ -10,7 +10,6 @@ from latentwalk import (Adam, ContractViolation, GenerativeAutoencoder, Rng,
                         encode_mean, encode_vae, set_norm_mode)
 from latentwalk import tensor as T
 from latentwalk.layers import Activation, BatchNormLayer, DenseLayer, Dropout
-from latentwalk.optim import AdamState, adam_step
 
 
 # ---------------------------------------------------------------------------
@@ -22,16 +21,79 @@ def test_adam_first_step_magnitude():
     for g in (0.01, 1.0, 250.0):
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.array([g])
-        adam_step(p, AdamState(np.zeros(1), np.zeros(1)), step=1,
-                  alpha=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8)
+        Adam([p], alpha=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8).step()
         assert abs(p.data[0] - (1.0 - 2e-4)) < 1e-8
 
 
 def test_adam_missing_grad_rejected():
     p = Tensor(np.array([1.0]), requires_grad=True)
     with pytest.raises(ContractViolation):
-        adam_step(p, AdamState(np.zeros(1), np.zeros(1)), step=1,
-                  alpha=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8)
+        Adam([p], alpha=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8).step()
+
+
+def test_failed_adam_step_changes_nothing():
+    """A step that rejects one parameter's gradient leaves every parameter,
+    moment and the step count as they were: the next good step equals a
+    fresh optimizer's first."""
+    def pair():
+        return (Tensor(np.array([1.0]), requires_grad=True),
+                Tensor(np.array([[2.0, 3.0]]), requires_grad=True))
+
+    a, b = pair()
+    opt = Adam([a, b])
+    a.grad = np.array([0.5])
+    with pytest.raises(ContractViolation):
+        opt.step()
+    assert a.data.tolist() == [1.0] and b.data.tolist() == [[2.0, 3.0]]
+    assert opt.step_count == 0
+    b.grad = np.array([[0.25, -4.0]])
+    opt.step()
+    ref_a, ref_b = pair()
+    ref_a.grad, ref_b.grad = a.grad, b.grad
+    Adam([ref_a, ref_b]).step()
+    assert a.data.tobytes() == ref_a.data.tobytes()
+    assert b.data.tobytes() == ref_b.data.tobytes()
+    assert opt.step_count == 1
+
+
+def test_adam_rejects_a_gradient_of_the_wrong_shape():
+    p = Tensor(np.zeros((2, 3)), requires_grad=True)
+    p.grad = np.zeros(6)
+    with pytest.raises(ContractViolation):
+        Adam([p]).step()
+    assert np.all(p.data == 0.0)
+
+
+def _reference_adam(params, grads, m, v, step, alpha, beta1, beta2, epsilon):
+    """The per-parameter formula, one parameter at a time."""
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g
+        v[i] = beta2 * v[i] + (1.0 - beta2) * (g * g)
+        m_hat = m[i] / (1.0 - beta1 ** step)
+        v_hat = v[i] / (1.0 - beta2 ** step)
+        p -= alpha * m_hat / (np.sqrt(v_hat) + epsilon)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_flat_adam_is_byte_identical_to_the_per_parameter_formula(dtype):
+    shapes = [(3, 4), (4,), (1,), (5, 1), (2, 3)]
+    rng = np.random.default_rng(11)
+    init = [rng.normal(size=s).astype(dtype) for s in shapes]
+    params = [Tensor(a, requires_grad=True, dtype=dtype) for a in init]
+    opt = Adam(params, alpha=1e-2, beta1=0.5, beta2=0.999, epsilon=1e-8)
+    ref = [a.copy() for a in init]
+    m = [np.zeros_like(a) for a in init]
+    v = [np.zeros_like(a) for a in init]
+    for step in range(1, 6):
+        grads = [(rng.normal(size=s) * 10.0 ** rng.integers(-3, 3)).astype(dtype)
+                 for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+        _reference_adam(ref, grads, m, v, step, 1e-2, 0.5, 0.999, 1e-8)
+        for p, r in zip(params, ref):
+            assert p.data.dtype == dtype
+            assert p.data.tobytes() == r.tobytes()
 
 
 def test_adam_descends_a_quadratic():

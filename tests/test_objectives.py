@@ -247,8 +247,8 @@ def test_models_of_either_precision_share_a_process(tiny_dataset, order):
             assert all(p.data.dtype == dtype for p in model.all_params())
             assert all(p.grad.dtype == dtype for p in model.all_params())
             for opt in (state.opt_recon, state.opt_disc, state.opt_gen):
-                for moments in opt._states if opt else ():
-                    assert moments.m.dtype == dtype and moments.v.dtype == dtype
+                if opt:
+                    assert opt._m.dtype == opt._v.dtype == dtype
 
 
 def test_model_dtype_must_be_a_float_width():

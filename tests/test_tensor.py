@@ -207,7 +207,9 @@ def test_axis_sum_keeps_dims():
 def test_concat_and_slice_roundtrip_gradients():
     a = _param(np.ones((2, 2)))
     b = _param(np.full((2, 3), 2.0))
-    cat = T.concat([a, b], axis=1)
+    # [a | b] from two embeddings: a @ [I 0] + b @ [0 I]
+    eye = np.eye(5)
+    cat = T.matmul(a, Tensor(eye[:2])) + T.matmul(b, Tensor(eye[2:]))
     assert cat.shape == (2, 5)
     left = T.tslice(cat, 0, 2, axis=1)
     T.tsum(left).backward()
@@ -277,6 +279,143 @@ def test_finite_diff_random_small_graphs(n, m, seed):
 
 
 # ---------------------------------------------------------------------------
+# fused nodes against the composite graphs they replace
+
+
+def _transpose(w):
+    # The dense layer's former transpose node.
+    return T._make(w.data.T.copy(), (w,), lambda g: [(w, g.T.copy())])
+
+
+def _batch_norm_composite(x, gamma, beta, eps):
+    mu = T.tmean(x, axis=0)
+    centered = x - mu
+    var = T.tmean(centered * centered, axis=0)
+    inv_std = T.exp(T.scale(T.log(var + eps), -0.5))
+    return centered * inv_std * gamma + beta, mu.data, var.data
+
+
+def _cross_entropy_composite(x, x_hat):
+    term = x * T.log(x_hat) + (1.0 - x) * T.log(1.0 - x_hat)
+    return T.scale(T.tmean(T.tsum(term, axis=1)), -1.0)
+
+
+def _kl_composite(mu, sigma):
+    term = mu * mu + sigma * sigma - T.scale(T.log(sigma), 2.0) - 1.0
+    return T.scale(T.tmean(T.tsum(term, axis=1)), 0.5)
+
+
+def _fused_cases():
+    """name -> (fused loss, composite loss, leaf arrays); both losses take
+    the same leaf tensors and end in a scalar."""
+    rng = np.random.default_rng(5)
+    probe = rng.normal(size=(6, 4))
+
+    def weigh(t):  # a scalar that weighs every output differently
+        return T.tsum(t * Tensor(probe, dtype=t.data.dtype))
+
+    return {
+        "dense": (
+            lambda x, w, b: weigh(T.matmul(x, w, b, transpose_b=True)),
+            lambda x, w, b: weigh(T.matmul(x, _transpose(w)) + b),
+            [rng.normal(size=(6, 3)), rng.normal(size=(4, 3)),
+             rng.normal(size=4)]),
+        "batch_norm": (
+            lambda x, g, b: weigh(T.batch_norm(x, g, b, 1e-8)[0]),
+            lambda x, g, b: weigh(_batch_norm_composite(x, g, b, 1e-8)[0]),
+            [rng.normal(2.0, 3.0, size=(6, 4)), rng.normal(size=4),
+             rng.normal(size=4)]),
+        "binary_cross_entropy": (
+            T.binary_cross_entropy, _cross_entropy_composite,
+            [rng.uniform(0.1, 0.9, size=(6, 4)),
+             rng.uniform(0.05, 0.95, size=(6, 4))]),
+        "gaussian_kl": (
+            T.gaussian_kl, _kl_composite,
+            [rng.normal(size=(6, 2)), np.exp(rng.normal(size=(6, 2)))]),
+    }
+
+
+def _run(loss, arrays, dtype):
+    leaves = [Tensor(a, requires_grad=True, dtype=dtype) for a in arrays]
+    out = loss(*leaves)
+    out.backward()
+    return out, leaves
+
+
+FUSED = sorted(_fused_cases())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_node_forward_equals_its_composite(name, dtype):
+    fused, composite, arrays = _fused_cases()[name]
+    out, _ = _run(fused, arrays, dtype)
+    ref, _ = _run(composite, arrays, dtype)
+    assert out.data.dtype == ref.data.dtype == dtype
+    assert out.data.tobytes() == ref.data.tobytes()
+
+
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_node_gradients_match_its_composite(name):
+    fused, composite, arrays = _fused_cases()[name]
+    _, leaves = _run(fused, arrays, np.float64)
+    _, refs = _run(composite, arrays, np.float64)
+    for leaf, ref in zip(leaves, refs):
+        np.testing.assert_allclose(leaf.grad, ref.grad, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_node_passes_finite_differences(name):
+    fused, _, arrays = _fused_cases()[name]
+    leaves = [_param(a) for a in arrays]
+    assert finite_diff_check(lambda: fused(*leaves), leaves) < 1e-6
+
+
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_node_keeps_float32(name):
+    fused, _, arrays = _fused_cases()[name]
+    out, leaves = _run(fused, arrays, np.float32)
+    assert out.data.dtype == np.float32
+    assert all(leaf.grad.dtype == np.float32 for leaf in leaves)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_batch_norm_returns_the_batch_statistics(dtype):
+    x = Tensor(np.random.default_rng(1).normal(size=(5, 3)), dtype=dtype)
+    gamma, beta = Tensor(np.ones(3), dtype=dtype), Tensor(np.zeros(3), dtype=dtype)
+    _, mu, var = T.batch_norm(x, gamma, beta, 1e-8)
+    _, ref_mu, ref_var = _batch_norm_composite(x, gamma, beta, 1e-8)
+    assert mu.shape == var.shape == (1, 3)
+    assert mu.tobytes() == ref_mu.tobytes() and var.tobytes() == ref_var.tobytes()
+
+
+def test_fused_nodes_keep_their_domain_and_contract_checks():
+    half = Tensor(np.full((1, 2), 0.5))
+    with pytest.raises(ContractViolation):
+        T.binary_cross_entropy(Tensor([[1.5, 0.5]]), half)
+    with pytest.raises(ContractViolation):
+        T.binary_cross_entropy(Tensor([[-0.1, 0.5]]), half)
+    for bad in (0.0, 1.0):
+        with pytest.raises(DomainError):
+            T.binary_cross_entropy(half, Tensor([[bad, 0.5]]))
+    with pytest.raises(ContractViolation):
+        T.gaussian_kl(half, Tensor([[0.5, 0.0]]))
+    with pytest.raises(ContractViolation):
+        T.gaussian_kl(half, Tensor([[0.5, -1.0]]))
+    with pytest.raises(DomainError):
+        T.batch_norm(Tensor(np.ones((2, 2))), Tensor(np.ones(2)),
+                     Tensor(np.zeros(2)), 0.0)
+    ones = Tensor(np.ones((3, 2)))
+    for call in (lambda: T.binary_cross_entropy(ones, half),
+                 lambda: T.gaussian_kl(ones, half),
+                 lambda: T.batch_norm(ones, Tensor(np.ones(3)), Tensor(np.ones(2)), 1e-8),
+                 lambda: T.matmul(ones, ones, Tensor(np.ones(2)), transpose_b=True),
+                 lambda: T.matmul(ones, Tensor(np.ones((2, 4))), Tensor(np.ones(3)))):
+        with pytest.raises(ShapeMismatchError):
+            call()
+
+
+# ---------------------------------------------------------------------------
 # aliasing and purity
 
 
@@ -287,8 +426,12 @@ def test_ops_do_not_mutate_inputs(seed):
     vals = rng.normal(size=(3, 3))
     a = Tensor(vals.copy())
     b = Tensor(vals.copy())
+    bias = Tensor(vals[0].copy())
     for out in (T.add(a, b), T.sub(a, b), T.hadamard(a, b), T.matmul(a, b),
+                T.matmul(a, b, bias, transpose_b=True),
+                T.batch_norm(a, bias, bias, 1e-8)[0],
                 T.relu(a), T.tanh(a), T.sigmoid(a), T.scale(a, 2.0)):
         out.data[...] = 123.0
     assert np.array_equal(a.data, vals)
     assert np.array_equal(b.data, vals)
+    assert np.array_equal(bias.data, vals[0])
