@@ -10,8 +10,8 @@ from .chain import (Chain, ChainStep, ChainTrace, LatentBatch,
                     sample_prior, slerp, transition_step)
 from .data import (Dataset, RunOptions, export_trace, gen_gaussian_mixture,
                    load_arrays, load_checkpoint, load_idx, parse_config,
-                   read_checkpoint_header, resolve_variant, save_arrays,
-                   save_checkpoint, write_image_grid)
+                   read_checkpoint_header, save_arrays, save_checkpoint,
+                   write_image_grid)
 from .errors import (CheckpointError, ChecksumError, ConfigError,
                      ContractViolation, DegenerateGeometryError,
                      DivergenceError, DomainError, IdxFormatError,
@@ -21,7 +21,7 @@ from .metrics import (MetricsReport, chain_diagnostics, gaussian_kl_details,
                       mmd_rbf, write_report)
 from .models import (GenerativeAutoencoder, PriorSpec, adversary_score,
                      decode, encode_aae, encode_mean, encode_vae,
-                     set_norm_mode)
+                     resolve_variant, set_norm_mode)
 from .objectives import (CorruptionSpec, EpochStats, TrainConfig,
                          adversarial_losses, corrupt, kl_prior_gaussian,
                          recon_cross_entropy, recon_squared_error,

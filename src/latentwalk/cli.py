@@ -25,12 +25,11 @@ from .chain import (Chain, LatentBatch, interpolation_grid, run_chain,
 from .data import (_CONFIG_KEYS, Dataset, RunOptions, _parse_count,
                    _parse_int_list, export_trace, gen_gaussian_mixture,
                    load_checkpoint, load_idx, parse_config,
-                   read_checkpoint_header, resolve_variant, save_checkpoint,
-                   write_image_grid)
+                   read_checkpoint_header, save_checkpoint, write_image_grid)
 from .errors import LatentWalkError
 from .metrics import chain_diagnostics, write_report
 from .models import (GenerativeAutoencoder, PriorSpec, encode_mean,
-                     set_norm_mode)
+                     resolve_variant, set_norm_mode)
 from .objectives import CorruptionSpec, TrainConfig, corrupt, train_model
 from .oracle import run_oracle_suite
 from .rng import Rng
@@ -158,7 +157,7 @@ def _open(args, subcommand: str):
     variance = getattr(args, "corruption_variance", None)
     cfg = replace(cfg, denoising=model.denoising, corruption=CorruptionSpec(
         model.corruption_variance if variance is None else variance))
-    opts = replace(opts, variant=("d" if model.denoising else "") + model.variant,
+    opts = replace(opts, variant=model.name,
                    precision="single" if model.dtype == np.float32 else "double")
     shape = header.get("data_shape")
     return cfg, opts, out, model, tuple(shape) if shape else None

@@ -13,7 +13,7 @@ import json
 import struct
 import zlib
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,7 @@ import numpy as np
 from .chain import Chain, ChainStep, ChainTrace, LatentBatch
 from .errors import (CheckpointError, ChecksumError, ConfigError,
                      ContractViolation, IdxFormatError, VersionError)
-from .layers import BatchNormLayer, DenseLayer
-from .models import GenerativeAutoencoder
+from .models import VARIANT_NAMES, GenerativeAutoencoder, resolve_variant
 from .objectives import (RECONSTRUCTION_LOSSES, CorruptionSpec, TrainConfig)
 from .rng import Rng
 
@@ -383,58 +382,17 @@ def export_trace(trace: ChainTrace | Chain, path: str | Path) -> ChainTrace:
 # -- checkpoints ---------------------------------------------------------------------
 
 
-def _named_model_arrays(model: GenerativeAutoencoder):
-    """Deterministic walk over every parameter and running statistic."""
-    stacks = [("encoder", model.encoder), ("decoder", model.decoder)]
-    if model.adversary is not None:
-        stacks.append(("adversary", model.adversary))
-    for stack_name, stack in stacks:
-        for i, layer in enumerate(stack):
-            prefix = f"{stack_name}.{i}"
-            if isinstance(layer, DenseLayer):
-                yield f"{prefix}.weights", layer.weights.data
-                yield f"{prefix}.bias", layer.bias.data
-            elif isinstance(layer, BatchNormLayer):
-                yield f"{prefix}.gamma", layer.gamma.data
-                yield f"{prefix}.beta", layer.beta.data
-                yield f"{prefix}.running_mean", layer.running_mean
-                yield f"{prefix}.running_var", layer.running_var
-
-
 def save_checkpoint(model: GenerativeAutoencoder, path: str | Path,
                     train_config: TrainConfig | None = None,
                     data_shape: tuple[int, int] | None = None) -> None:
-    """Write the model (architecture, parameters, running stats) plus optional
+    """Write the model (`arch()`, parameters, running stats) plus optional
     training-config echo and source image shape."""
-    named = list(_named_model_arrays(model))
-    cfg_echo = None
-    if train_config is not None:
-        cfg_echo = {
-            "epochs": train_config.epochs,
-            "batch_size": train_config.batch_size,
-            "alpha": train_config.alpha,
-            "beta1": train_config.beta1,
-            "beta2": train_config.beta2,
-            "epsilon": train_config.epsilon,
-            "seed": train_config.seed,
-            "denoising": train_config.denoising,
-            "corruption_variance": train_config.corruption.variance,
-            "reconstruction_loss": train_config.reconstruction_loss,
-        }
+    named = list(model.named_arrays())
     header = {
         "kind": "model",
-        "model": {
-            "variant": model.variant,
-            "data_dim": model.data_dim,
-            "latent_dim": model.latent_dim,
-            "hidden_dims": list(model.hidden_dims),
-            "adversary_dims": list(model.adversary_dims),
-            "denoising": model.denoising,
-            "corruption_variance": model.corruption_variance,
-            "init_seed": model.init_seed,
-        },
+        "model": model.arch(),
         "tensors": [{"name": n, "shape": list(a.shape)} for n, a in named],
-        "train_config": cfg_echo,
+        "train_config": asdict(train_config) if train_config else None,
         "data_shape": list(data_shape) if data_shape is not None else None,
     }
     with _ContainerWriter(path, header) as writer:
@@ -450,21 +408,16 @@ def read_checkpoint_header(path: str | Path) -> dict:
 
 
 def load_checkpoint(path: str | Path) -> GenerativeAutoencoder:
-    """Reconstruct the model; every parameter and running stat is bit-exact."""
+    """Reconstruct the model in its stored dtype (float64 when the header
+    names none); every parameter and running stat is bit-exact."""
     header, tensors = _read_container(path)
     if header.get("kind") != "model":
         raise CheckpointError(f"{path}: container is not a model checkpoint")
     try:
-        m = header["model"]
-        model = GenerativeAutoencoder(
-            variant=m["variant"], data_dim=m["data_dim"],
-            latent_dim=m["latent_dim"], hidden_dims=tuple(m["hidden_dims"]),
-            adversary_dims=tuple(m["adversary_dims"]), denoising=m["denoising"],
-            corruption_variance=m["corruption_variance"],
-            init_seed=m["init_seed"])
-    except (KeyError, TypeError) as exc:
+        model = GenerativeAutoencoder(**header["model"])
+    except (KeyError, TypeError, ContractViolation) as exc:
         raise CheckpointError(f"{path}: malformed model descriptor ({exc})") from None
-    named = list(_named_model_arrays(model))
+    named = list(model.named_arrays())
     specs = header.get("tensors", [])
     if len(named) != len(specs):
         raise CheckpointError(
@@ -480,19 +433,6 @@ def load_checkpoint(path: str | Path) -> GenerativeAutoencoder:
 
 
 # -- run configuration ----------------------------------------------------------------
-
-VARIANT_NAMES = ("vae", "dvae", "aae", "daae")
-
-
-def resolve_variant(name: str) -> tuple[str, bool]:
-    """Map a CLI variant name to (base model family, denoising flag)."""
-    name = name.lower()
-    if name not in VARIANT_NAMES:
-        raise ContractViolation(
-            f"variant must be one of {VARIANT_NAMES}, got {name!r}")
-    return {"vae": ("vae", False), "dvae": ("vae", True),
-            "aae": ("aae", False), "daae": ("aae", True)}[name]
-
 
 @dataclass
 class RunOptions:

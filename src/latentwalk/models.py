@@ -28,6 +28,19 @@ from . import tensor as T
 from .tensor import Tensor
 
 VARIANTS = ("vae", "aae")
+VARIANT_NAMES = ("vae", "dvae", "aae", "daae")
+
+
+def resolve_variant(name: str) -> tuple[str, bool]:
+    """Map a variant name to (base model family, denoising flag); the
+    inverse of `GenerativeAutoencoder.name`."""
+    name = name.lower()
+    if name not in VARIANT_NAMES:
+        raise ContractViolation(
+            f"variant must be one of {VARIANT_NAMES}, got {name!r}")
+    denoising = name.startswith("d")
+    return (name[1:] if denoising else name), denoising
+
 
 # Decoder outputs are nudged off exact 0/1 (float rounding at extreme
 # pre-activations) so cross-entropy stays inside its domain. The bounds must be
@@ -65,7 +78,7 @@ class GenerativeAutoencoder:
     """One trained artifact: parameters plus the variant/denoising flags.
 
     `dtype` is the storage of every parameter and of the tensors the model
-    builds: float64, or float32 as a training-speed switch.
+    builds: float64, or float32 as a training-speed switch (dtype or name).
     """
 
     def __init__(self, variant: str, data_dim: int, latent_dim: int,
@@ -84,7 +97,7 @@ class GenerativeAutoencoder:
             raise ContractViolation(
                 f"corruption variance must be finite and >= 0, got {corruption_variance}"
             )
-        if dtype not in (np.float32, np.float64):
+        if dtype not in (np.float32, np.float64, "float32", "float64"):
             raise ContractViolation(f"unsupported dtype {dtype!r}")
         head_in = hidden_dims[-1]
         if variant == "aae" and head_in < latent_dim:
@@ -120,6 +133,23 @@ class GenerativeAutoencoder:
         else:
             self.adversary = None
 
+    def arch(self) -> dict:
+        """The constructor arguments as JSON values (the dtype by name):
+        `GenerativeAutoencoder(**model.arch())` builds this model as it was
+        initialised."""
+        return {"variant": self.variant, "data_dim": self.data_dim,
+                "latent_dim": self.latent_dim,
+                "hidden_dims": list(self.hidden_dims),
+                "adversary_dims": list(self.adversary_dims),
+                "denoising": self.denoising,
+                "corruption_variance": self.corruption_variance,
+                "init_seed": self.init_seed, "dtype": self.dtype.name}
+
+    @property
+    def name(self) -> str:
+        """The variant name a run chooses: vae, dvae, aae or daae."""
+        return ("d" if self.denoising else "") + self.variant
+
     # -- parameter access -----------------------------------------------------
 
     def encoder_params(self) -> list[Tensor]:
@@ -140,14 +170,29 @@ class GenerativeAutoencoder:
         return [l for stack in (self.encoder, self.decoder)
                 for l in stack if isinstance(l, BatchNormLayer)]
 
+    def named_arrays(self):
+        """(name, array) for every parameter and running statistic, in one
+        fixed order: the tensors of a checkpoint and the fingerprint's input."""
+        stacks = [("encoder", self.encoder), ("decoder", self.decoder)]
+        if self.adversary is not None:
+            stacks.append(("adversary", self.adversary))
+        for stack_name, stack in stacks:
+            for i, layer in enumerate(stack):
+                prefix = f"{stack_name}.{i}"
+                if isinstance(layer, DenseLayer):
+                    yield f"{prefix}.weights", layer.weights.data
+                    yield f"{prefix}.bias", layer.bias.data
+                elif isinstance(layer, BatchNormLayer):
+                    yield f"{prefix}.gamma", layer.gamma.data
+                    yield f"{prefix}.beta", layer.beta.data
+                    yield f"{prefix}.running_mean", layer.running_mean
+                    yield f"{prefix}.running_var", layer.running_var
+
     def fingerprint(self) -> str:
-        """SHA-256 over all parameters and running statistics."""
+        """SHA-256 over `named_arrays()`, each as float64."""
         h = hashlib.sha256()
-        for p in self.all_params():
-            h.update(np.ascontiguousarray(p.data, dtype=np.float64).tobytes())
-        for bn in self.norm_layers():
-            h.update(np.ascontiguousarray(bn.running_mean, dtype=np.float64).tobytes())
-            h.update(np.ascontiguousarray(bn.running_var, dtype=np.float64).tobytes())
+        for _, a in self.named_arrays():
+            h.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
         return h.hexdigest()
 
     # -- forward passes ---------------------------------------------------------

@@ -200,19 +200,19 @@ def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
             state.opt_recon.zero_grad()
             recon.backward()
             state.opt_recon.step()
+            # (ii) and (iii) share these codes: only the adversary changes.
+            z = encode_aae(model, x)
             # (ii) adversary on prior draws vs detached codes
-            z_fake = encode_aae(model, x).detach()
             z_real = Tensor(rng.normal((cfg.batch_size, model.latent_dim)),
                             dtype=model.dtype)
             d_real = adversary_score(model, z_real, rng=rng, train=True)
-            d_fake = adversary_score(model, z_fake, rng=rng, train=True)
+            d_fake = adversary_score(model, z.detach(), rng=rng, train=True)
             disc, _ = adversarial_losses(d_real, d_fake)
             state.opt_disc.zero_grad()
             disc.backward()
             state.opt_disc.step()
             # (iii) encoder against the updated adversary
-            z_gen = encode_aae(model, x)
-            d_gen = adversary_score(model, z_gen, rng=rng, train=True)
+            d_gen = adversary_score(model, z, rng=rng, train=True)
             gen = T.scale(T.tmean(T.log(d_gen)), -1.0)
             state.opt_gen.zero_grad()
             gen.backward()

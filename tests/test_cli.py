@@ -365,8 +365,8 @@ def test_walk_manifests_record_the_corruption_the_walk_used(tmp_path, fast_cfg):
 @pytest.mark.parametrize("variant", ["dvae", "daae"])
 def test_walk_manifests_record_the_model_that_ran(tmp_path, fast_cfg, variant):
     """A walk's manifest names the checkpoint's variant and denoising flag
-    and the precision the walk ran in (checkpoints load in double), not what
-    a config file that names no variant and asks for single precision says."""
+    and the precision the walk ran in, which is the checkpoint's, not what a
+    config file that names no variant and asks for single precision says."""
     run = _train(tmp_path, fast_cfg, variant=variant)
     walk_cfg = tmp_path / "single.cfg"
     walk_cfg.write_text(FAST + "precision = single\n")
@@ -378,6 +378,27 @@ def test_walk_manifests_record_the_model_that_ran(tmp_path, fast_cfg, variant):
         assert config["options"]["variant"] == variant
         assert config["train"]["denoising"] is True
         assert config["options"]["precision"] == "double"
+
+
+def test_single_precision_model_is_walked_in_single(tmp_path, fast_cfg):
+    """A model trained in single precision is stored, loaded and walked in
+    float32, whatever the walk config's precision."""
+    single = tmp_path / "single.cfg"
+    single.write_text(FAST + "precision = single\n")
+    ckpt = _train(tmp_path, str(single), variant="dvae") / "model.ckpt"
+    model = load_checkpoint(ckpt)
+    assert model.dtype == np.float32
+    out = tmp_path / "samples"
+    assert main(["sample", "--checkpoint", str(ckpt), "--seed", "4",
+                 "--config", fast_cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["options"]["precision"] == "single"
+    rng = Rng(4).derive("sample")
+    z0 = sample_prior(24, PriorSpec(model.latent_dim), rng)
+    trace = run_chain(model, z0, 1, denoising=True,
+                      spec=CorruptionSpec(model.corruption_variance), rng=rng)
+    export_trace(trace, tmp_path / "single.bin")
+    assert (out / "trace.bin").read_bytes() == (tmp_path / "single.bin").read_bytes()
 
 
 def test_manifest_written_before_outputs(tmp_path, fast_cfg):

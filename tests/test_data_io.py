@@ -1,7 +1,9 @@
 """Datasets, binary containers, IDX parsing, image grids, and run configs."""
 
+import json
 import struct
 import zlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -246,11 +248,51 @@ def test_checkpoint_roundtrip_preserves_model(tmp_path, tiny_vae, tiny_dataset):
 
 def test_checkpoint_header_echoes_run_settings(tmp_path, tiny_aae):
     path = tmp_path / "model.ckpt"
-    save_checkpoint(tiny_aae, path, data_shape=(10, 2))
+    cfg = TrainConfig(epochs=3, corruption=CorruptionSpec(0.1))
+    save_checkpoint(tiny_aae, path, train_config=cfg, data_shape=(10, 2))
     header = read_checkpoint_header(path)
     assert header["kind"] == "model"
     assert header["model"]["variant"] == "aae"
+    assert header["model"] == tiny_aae.arch()
+    assert header["train_config"] == asdict(cfg)
     assert header["data_shape"] == [10, 2]
+
+
+def _edit_model_entry(path, edit):
+    """Apply `edit` to a checkpoint header's `model` entry in place; the
+    payload and its CRC stay as they were."""
+    blob = path.read_bytes()
+    (head_len,) = struct.unpack("<I", blob[5:9])
+    header = json.loads(blob[9:9 + head_len])
+    edit(header["model"])
+    head = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(blob[:5] + struct.pack("<I", len(head)) + head
+                     + blob[9 + head_len:])
+
+
+def test_checkpoint_without_a_dtype_loads_in_double(tmp_path, tiny_aae):
+    """Checkpoints written before the header named a dtype held float64
+    models."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_aae, path)
+    _edit_model_entry(path, lambda m: m.pop("dtype"))
+    clone = load_checkpoint(path)
+    assert clone.dtype == np.float64
+    for (name, a), (_, b) in zip(clone.named_arrays(), tiny_aae.named_arrays()):
+        assert a.dtype == np.float64 and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("entry", [{"width": 3}, {"dtype": "float3"},
+                                   {"dtype": "float16"}, {"dtype": 32}],
+                         ids=["unknown-key", "unreadable-dtype",
+                              "unsupported-dtype", "dtype-not-a-name"])
+def test_checkpoint_with_a_foreign_model_entry_is_rejected(tmp_path, tiny_vae,
+                                                           entry):
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(tiny_vae, path)
+    _edit_model_entry(path, lambda m: m.update(entry))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)
 
 
 def test_checkpoint_kind_enforced(tmp_path):

@@ -1,5 +1,7 @@
 """Network building blocks and the two autoencoder variants."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from latentwalk import (Adam, ContractViolation, GenerativeAutoencoder, Rng,
                         Tensor, adversary_score, decode, encode_aae,
-                        encode_mean, encode_vae, set_norm_mode)
+                        encode_mean, encode_vae, resolve_variant,
+                        set_norm_mode)
 from latentwalk import tensor as T
 from latentwalk.layers import Activation, BatchNormLayer, DenseLayer, Dropout
 
@@ -229,6 +232,21 @@ def test_aae_narrow_head_rejected():
     GenerativeAutoencoder("aae", 8, 4, hidden_dims=(16, 4))
     # VAE has a stochastic head and is exempt
     GenerativeAutoencoder("vae", 8, 4, hidden_dims=(16, 3))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("name", ["vae", "dvae", "aae", "daae"])
+def test_arch_rebuilds_the_model_through_json(name, dtype):
+    variant, denoising = resolve_variant(name)
+    model = GenerativeAutoencoder(variant, data_dim=3, latent_dim=2,
+                                  hidden_dims=(6, 4), adversary_dims=(5,),
+                                  denoising=denoising, corruption_variance=0.1,
+                                  init_seed=7, dtype=dtype)
+    clone = GenerativeAutoencoder(**json.loads(json.dumps(model.arch())))
+    assert clone.arch() == model.arch()
+    assert clone.fingerprint() == model.fingerprint()
+    assert clone.dtype == dtype
+    assert clone.name == name
 
 
 def test_init_is_seeded(tiny_vae):

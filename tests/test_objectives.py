@@ -19,6 +19,7 @@ from latentwalk import (ContractViolation, CorruptionSpec, DomainError,
                         kl_prior_gaussian, recon_cross_entropy,
                         recon_squared_error, train_epoch, train_model,
                         write_loss_log)
+from latentwalk import objectives
 from latentwalk.objectives import init_train_state
 
 
@@ -227,6 +228,19 @@ def test_train_is_seed_deterministic(tiny_dataset, fast_config):
     assert run() == run()
 
 
+def test_aae_batch_encodes_once_per_encoder_update(tiny_aae, tiny_dataset,
+                                                  monkeypatch):
+    """Step (i) encodes for the reconstruction; steps (ii) and (iii) share
+    one encoding of the updated encoder, as only the adversary changes
+    between them."""
+    real, calls = objectives.encode_aae, []
+    monkeypatch.setattr(objectives, "encode_aae",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    cfg = TrainConfig(epochs=1, batch_size=32)
+    train_epoch(tiny_aae, tiny_dataset, cfg, state=init_train_state(tiny_aae, cfg))
+    assert len(calls) == 2 * (len(tiny_dataset) // cfg.batch_size)
+
+
 @pytest.mark.parametrize("order", [(np.float32, np.float64),
                                    (np.float64, np.float32)])
 def test_models_of_either_precision_share_a_process(tiny_dataset, order):
@@ -252,8 +266,9 @@ def test_models_of_either_precision_share_a_process(tiny_dataset, order):
 
 
 def test_model_dtype_must_be_a_float_width():
-    with pytest.raises(ContractViolation):
-        GenerativeAutoencoder("vae", 2, 2, dtype=np.float16)
+    for dtype in (np.float16, "float16", "float3", None):
+        with pytest.raises(ContractViolation):
+            GenerativeAutoencoder("vae", 2, 2, dtype=dtype)
 
 
 def test_denoising_flag_must_match_model(tiny_vae, tiny_dataset):
