@@ -13,19 +13,25 @@ the closed-form linear-Gaussian verifier plugs in.
 
 from __future__ import annotations
 
+import os
+import pickle
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NoReturn, Optional
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateGeometryError
+from .errors import ContractViolation, DegenerateGeometryError, WorkerError
 from .models import PriorSpec
 from .objectives import CorruptionSpec, corrupt
 from .rng import Rng
 
 _ANGLE_TOL = 1e-6
 _CHAIN_RE = re.compile(r"^chain\((\d+)\)$")
+# Rows per chunk of a chunked walk (see `run_chain`). Chunking depends only
+# on the row count and this constant, never on the CPU count, so neither do
+# the bytes of a walk.
+_CHUNK_ROWS = 16_384
 
 
 @dataclass
@@ -188,13 +194,20 @@ def _model_norm_mode(model) -> str:
 def run_chain(model, z0: LatentBatch, steps: int, denoising: bool = False,
               spec: CorruptionSpec | None = None, rng: Rng | None = None,
               keep: Iterable[int] | None = None,
-              sink: Callable[[ChainStep], None] | None = None) -> ChainTrace:
+              sink: Callable[[ChainStep], None] | None = None,
+              _workers: int | None = None) -> ChainTrace:
     """Run `steps` transitions from z0.
 
     The trace holds z0 and the steps named in `keep` (every step when it is
     None); `sink`, when given, is called with each step as it is made, so a
     caller can consume a walk without holding it. Model parameters are
     read-only throughout; steps=0 returns an empty trace that still carries z0.
+
+    A model whose `row_independent` attribute is true declares that each row's
+    transition ignores the other rows of its batch. Without a sink, such a
+    walk of at least two `_CHUNK_ROWS` chunks runs chunk by chunk on every
+    core (`_walk_chunks`), with the same bytes. `_workers` overrides the
+    number of worker processes; tests use it.
     """
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, got {steps}")
@@ -203,16 +216,140 @@ def run_chain(model, z0: LatentBatch, steps: int, denoising: bool = False,
     if rng is None:
         raise ContractViolation("run_chain needs an rng")
     kept = None if keep is None else frozenset(keep)
+    spec = spec if denoising else None
     trace = ChainTrace(z0=z0, denoising=denoising, norm_mode=_model_norm_mode(model))
-    z = z0
+    if (sink is None and getattr(model, "row_independent", False)
+            and len(z0) >= 2 * _CHUNK_ROWS):
+        trace.steps = _walk_chunks(model, z0, steps, spec, rng, kept, _workers)
+    else:
+        trace.steps = _walk(model, z0, steps, spec, rng, kept, sink)
+    return trace
+
+
+def _walk(model, z: LatentBatch, steps: int, spec: CorruptionSpec | None,
+          rng: Rng, kept: frozenset | None,
+          sink: Callable[[ChainStep], None] | None = None) -> list[ChainStep]:
+    """The chain loop: the steps named in `kept` (all when None), each also
+    handed to `sink` as it is made."""
+    out = []
     for t in range(1, steps + 1):
-        x, x_tilde, z = _transition(model, z, spec if denoising else None, rng)
+        x, x_tilde, z = _transition(model, z, spec, rng)
         step = ChainStep(x=x, x_tilde=x_tilde, z=z, t=t)
         if sink is not None:
             sink(step)
         if kept is None or t in kept:
-            trace.steps.append(step)
-    return trace
+            out.append(step)
+    return out
+
+
+def _walk_chunks(model, z0: LatentBatch, steps: int,
+                 spec: CorruptionSpec | None, rng: Rng, kept: frozenset | None,
+                 workers: int | None) -> list[ChainStep]:
+    """`_walk` over the `_CHUNK_ROWS`-row chunks of z0, stitched row-wise.
+
+    Each chunk draws through its own row window of `rng`, so it gets exactly
+    its rows of the whole batch's draws, and `rng` ends where a whole-batch
+    walk leaves it. The chunks depend only on the row count, never on the
+    number of workers, which is the CPU count unless `workers` is given.
+    """
+    n = len(z0)
+    bounds = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
+
+    def walk(lo: int, hi: int) -> tuple[list[ChainStep], int]:
+        window = rng.window(n, lo, hi)
+        chunk = LatentBatch(z0.values[lo:hi], provenance=z0.provenance)
+        return _walk(model, chunk, steps, spec, window, kept), window.counter
+
+    if workers is None:
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    workers = min(workers, len(bounds))
+    if workers > 1 and hasattr(os, "fork"):
+        parts = _in_workers(walk, bounds, workers)
+    else:
+        parts = [walk(lo, hi) for lo, hi in bounds]
+    counters = {counter for _, counter in parts}
+    if len(counters) != 1:
+        raise ContractViolation(
+            "chunks of a row-independent walk consumed different numbers of "
+            "draws; the model's draws depend on its rows")
+    rng.counter = counters.pop()
+
+    def stitch(rows: list[Optional[np.ndarray]]) -> Optional[np.ndarray]:
+        return None if rows[0] is None else np.concatenate(rows)
+
+    stitched = []
+    for chunk_steps in zip(*(chunk for chunk, _ in parts)):
+        first = chunk_steps[0]
+        z = LatentBatch(stitch([s.z.values for s in chunk_steps]),
+                        provenance=first.z.provenance)
+        stitched.append(ChainStep(x=stitch([s.x for s in chunk_steps]),
+                                  x_tilde=stitch([s.x_tilde for s in chunk_steps]),
+                                  z=z, t=first.t))
+    return stitched
+
+
+def _in_workers(walk, bounds: list[tuple[int, int]], workers: int) -> list:
+    """`walk(lo, hi)` of every chunk, in chunk order, with chunk i run in
+    forked worker i % workers. A worker that raises or dies raises
+    `WorkerError` here; every worker is reaped before this returns or raises.
+    """
+    import signal
+
+    running = {}  # pid -> read end of the pipe, of each worker not yet reaped
+    try:
+        for w in range(workers):
+            r, wfd = os.pipe()
+            reader = os.fdopen(r, "rb")
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                reader.close()
+                os.close(wfd)
+                raise WorkerError(f"cannot start chain worker {w + 1} of "
+                                  f"{workers}: {exc}") from None
+            if pid == 0:
+                _report(wfd, lambda: [(i, walk(*bounds[i]))
+                                      for i in range(w, len(bounds), workers)])
+            os.close(wfd)
+            running[pid] = reader
+        payloads = [fh.read() for fh in running.values()]
+        codes = []
+        for pid in list(running):
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            running.pop(pid).close()
+    finally:
+        for pid, fh in running.items():
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    parts = [None] * len(bounds)
+    for w, (payload, code) in enumerate(zip(payloads, codes)):
+        if code != 0:
+            detail = pickle.loads(payload) if code == 1 else "no report"
+            raise WorkerError(f"chain worker {w + 1} of {workers} exited with "
+                              f"code {code}: {detail}")
+        for i, part in pickle.loads(payload):
+            parts[i] = part
+    return parts
+
+
+def _report(fd: int, work: Callable[[], object]) -> NoReturn:
+    """The end of a forked worker: send the pickled result of `work()` through
+    `fd` and exit with code 0, or send what it raised and exit with 1 (2 when
+    nothing could be sent). It leaves only through `os._exit`, so nothing of
+    the stack it was forked from (a `finally`, an exit handler) runs twice."""
+    code = 2
+    try:
+        try:
+            payload, sent = pickle.dumps(work(), protocol=-1), 0
+        except BaseException as exc:  # the parent raises it as a WorkerError
+            payload, sent = pickle.dumps(f"{type(exc).__name__}: {exc}"), 1
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(payload)
+        code = sent
+    finally:
+        os._exit(code)
 
 
 @dataclass

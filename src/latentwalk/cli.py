@@ -24,8 +24,8 @@ from .chain import (Chain, LatentBatch, interpolation_grid, run_chain,
                     sample_prior)
 from .data import (_CONFIG_KEYS, Dataset, RunOptions, _parse_count,
                    _parse_int_list, export_trace, gen_gaussian_mixture,
-                   load_checkpoint, load_idx, parse_config,
-                   read_checkpoint_header, save_checkpoint, write_image_grid)
+                   load_checkpoint, load_idx, parse_config, save_checkpoint,
+                   write_image_grid)
 from .errors import LatentWalkError
 from .metrics import chain_diagnostics, write_report
 from .models import (GenerativeAutoencoder, PriorSpec, encode_mean,
@@ -151,8 +151,7 @@ def _open(args, subcommand: str):
     else the model's), not the config file's."""
     cfg, opts = _resolve(args)
     out = _out_dir(args, subcommand)
-    header = read_checkpoint_header(args.checkpoint)
-    model = load_checkpoint(args.checkpoint)
+    model, header = load_checkpoint(args.checkpoint, with_header=True)
     set_norm_mode(model, opts.bn_mode)
     variance = getattr(args, "corruption_variance", None)
     cfg = replace(cfg, denoising=model.denoising, corruption=CorruptionSpec(

@@ -407,9 +407,10 @@ def read_checkpoint_header(path: str | Path) -> dict:
     return header
 
 
-def load_checkpoint(path: str | Path) -> GenerativeAutoencoder:
+def load_checkpoint(path: str | Path, with_header: bool = False):
     """Reconstruct the model in its stored dtype (float64 when the header
-    names none); every parameter and running stat is bit-exact."""
+    names none); every parameter and running stat is bit-exact. With
+    `with_header`, returns (model, header) from the one read of the file."""
     header, tensors = _read_container(path)
     if header.get("kind") != "model":
         raise CheckpointError(f"{path}: container is not a model checkpoint")
@@ -429,7 +430,7 @@ def load_checkpoint(path: str | Path) -> GenerativeAutoencoder:
                 f"{path}: tensor {spec['name']} does not match "
                 f"expected {name} with shape {target.shape}")
         target[...] = _read_tensor(path, *tensor)
-    return model
+    return (model, header) if with_header else model
 
 
 # -- run configuration ----------------------------------------------------------------

@@ -82,8 +82,8 @@ class BatchNormLayer:
         self.eps = eps
         self.gamma = Tensor(np.ones(dim), requires_grad=True, dtype=dtype)
         self.beta = Tensor(np.zeros(dim), requires_grad=True, dtype=dtype)
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
+        self.running_mean = np.zeros(dim, dtype=dtype)
+        self.running_var = np.ones(dim, dtype=dtype)
         self.mode = "train"
 
     def __call__(self, x: Tensor, update_running: bool = False) -> Tensor:

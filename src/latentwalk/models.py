@@ -17,6 +17,7 @@ exp(log-sigma) so it is strictly positive for any finite head output.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,10 @@ class GenerativeAutoencoder:
     builds: float64, or float32 as a training-speed switch (dtype or name).
     """
 
+    # Train-mode batch norm couples the rows of a batch, so `run_chain` walks
+    # them together.
+    row_independent = False
+
     def __init__(self, variant: str, data_dim: int, latent_dim: int,
                  hidden_dims: tuple[int, ...] = (64, 64),
                  adversary_dims: tuple[int, ...] = (64, 64),
@@ -89,6 +94,9 @@ class GenerativeAutoencoder:
         variant = variant.lower()
         if variant not in VARIANTS:
             raise ContractViolation(f"unknown variant {variant!r}")
+        data_dim, latent_dim = _dim(data_dim), _dim(latent_dim)
+        hidden_dims = tuple(map(_dim, hidden_dims))
+        adversary_dims = tuple(map(_dim, adversary_dims))
         if data_dim < 1 or latent_dim < 1:
             raise ContractViolation("data_dim and latent_dim must be >= 1")
         if not hidden_dims:
@@ -110,8 +118,8 @@ class GenerativeAutoencoder:
         self.variant = variant
         self.data_dim = data_dim
         self.latent_dim = latent_dim
-        self.hidden_dims = tuple(hidden_dims)
-        self.adversary_dims = tuple(adversary_dims)
+        self.hidden_dims = hidden_dims
+        self.adversary_dims = adversary_dims
         self.denoising = bool(denoising)
         self.corruption_variance = float(corruption_variance)
         self.init_seed = int(init_seed)
@@ -230,6 +238,15 @@ class GenerativeAutoencoder:
     def chain_decode(self, z: np.ndarray, rng: Rng) -> np.ndarray:
         """Decoder mean for chain transitions; rng accepted for protocol parity."""
         return decode(self, Tensor(z, dtype=self.dtype)).data
+
+
+def _dim(v) -> int:
+    """A layer width as a Python int (so `arch()` is JSON): any integer type,
+    NumPy's included; anything else raises."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ContractViolation(f"dimensions must be integers, got {v!r}") from None
 
 
 def _mlp(rng: Rng, in_dim: int, hidden: tuple[int, ...], out_dim: int,

@@ -70,7 +70,10 @@ def corrupt(x: np.ndarray, spec: CorruptionSpec, rng: Rng) -> np.ndarray:
     """x + N(0, variance*I), unclipped; variance 0 returns x without drawing."""
     if spec.variance == 0.0:
         return x
-    return x + np.sqrt(spec.variance) * rng.normal(x.shape)
+    noisy = rng.normal(x.shape)
+    noisy *= np.sqrt(spec.variance)
+    noisy += x
+    return noisy
 
 
 def recon_cross_entropy(x: Tensor, x_hat: Tensor) -> Tensor:

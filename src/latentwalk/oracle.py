@@ -158,24 +158,30 @@ class OracleModelAdapter:
 
     chain_decode applies the decoder mean plus decoder noise; corruption is
     *not* applied here — the denoising kernel owns it, exactly as for real
-    models.
+    models. Each row's transition is its own, so `run_chain` may walk the
+    rows in chunks.
     """
+
+    row_independent = True
 
     def __init__(self, sys: OracleSystem):
         self.system = sys
         self.latent_dim = sys.latent_dim
         self.data_dim = sys.data_dim
         self.denoising = sys.corruption_variance > 0.0
+        self._decode_t = sys.D.T
+        self._encode_t = sys.E.T
 
     def chain_decode(self, z: np.ndarray, rng: Rng) -> np.ndarray:
-        x = z @ self.system.D.T
+        x = z @ self._decode_t
         if self.system.decoder_noise_variance > 0.0:
-            x += np.sqrt(self.system.decoder_noise_variance) \
-                * rng.normal((z.shape[0], self.data_dim))
+            noise = rng.normal(x.shape)
+            noise *= np.sqrt(self.system.decoder_noise_variance)
+            x += noise
         return x
 
     def chain_encode(self, x: np.ndarray, rng: Rng) -> np.ndarray:
-        return x @ self.system.E.T
+        return x @ self._encode_t
 
 
 def random_contractive_system(rng: Rng, latent_dim: int, data_dim: int,

@@ -253,14 +253,15 @@ def leaky_relu(a: Tensor, slope: float = 0.2) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     # With e = exp(-|x|): e/(1+e) for x < 0 and 1/(1+e) for x >= 0, the
-    # overflow-free branch on each side, without masked gathers.
+    # overflow-free branch on each side. As e <= 1, the numerator is
+    # max(e, x >= 0), so one division serves both sides without a mask.
     x = a.data
     e = np.abs(x, out=np.empty_like(x))
     np.negative(e, out=e)
     np.exp(e, out=e)
     d = e + 1.0
+    np.maximum(e, x >= 0, out=e)
     out = np.divide(e, d, out=e)
-    np.divide(1.0, d, out=out, where=x >= 0)
 
     def bw(g):
         return [(a, g * out * (1.0 - out))]

@@ -1,6 +1,9 @@
 """Latent-space walk mechanics: prior draws, transitions, traces, slerp."""
 
 import math
+import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -9,9 +12,12 @@ from hypothesis import strategies as st
 
 from latentwalk import (ContractViolation, CorruptionSpec,
                         DegenerateGeometryError, GenerativeAutoencoder,
-                        LatentBatch, PriorSpec, Rng, denoising_transition_step,
-                        interpolation_grid, run_chain, sample_prior, slerp,
-                        transition_step)
+                        LatentBatch, LatentWalkError, OracleModelAdapter,
+                        OracleSystem, PriorSpec, Rng, WorkerError,
+                        denoising_transition_step, interpolation_grid,
+                        random_contractive_system, run_chain, sample_prior,
+                        slerp, transition_step)
+from latentwalk import chain as chain_module
 from latentwalk.chain import ChainTrace
 
 
@@ -243,3 +249,125 @@ def test_trace_defaults():
     trace = ChainTrace(z0)
     assert trace.steps == []
     assert trace.norm_mode == "n/a"
+
+
+# ---------------------------------------------------------------------------
+# chunked walks of row-independent models
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="workers are forked")
+
+
+def _identity_encoder_system():
+    d = Rng(40).normal((3, 3))
+    d *= 0.7 / max(abs(np.linalg.eigvals(d)))
+    return OracleSystem(np.eye(3), d, decoder_noise_variance=0.5,
+                        corruption_variance=0.25)
+
+
+def _rectangular_system():
+    return random_contractive_system(Rng(41), latent_dim=2, data_dim=5,
+                                     target_radius=0.6,
+                                     decoder_noise_variance=0.5,
+                                     corruption_variance=0.25)
+
+
+def _chunked_walk(system, n, workers, chunk_rows, monkeypatch):
+    monkeypatch.setattr(chain_module, "_CHUNK_ROWS", chunk_rows)
+    rng = Rng(42, counter=17)
+    z0 = LatentBatch(Rng(43).normal((n, system.latent_dim)))
+    trace = run_chain(OracleModelAdapter(system), z0, 6, denoising=True,
+                      spec=CorruptionSpec(system.corruption_variance), rng=rng,
+                      _workers=workers)
+    return trace, rng.counter
+
+
+def _walk_bytes(trace):
+    return [(s.t, s.z.provenance, s.x.tobytes(), s.x_tilde.tobytes(),
+             s.z.values.tobytes()) for s in trace.steps]
+
+
+@needs_fork
+@pytest.mark.parametrize("system", [_identity_encoder_system,
+                                    _rectangular_system])
+@pytest.mark.parametrize("n", [29, 32])
+def test_chunked_walk_bytes_do_not_depend_on_the_worker_count(system, n,
+                                                               monkeypatch):
+    """Chunks of 8 rows, the last one partial for 29 rows; 1, 2 and 3
+    workers give the same trace and leave the rng at the same counter."""
+    runs = [_chunked_walk(system(), n, workers, 8, monkeypatch)
+            for workers in (1, 2, 3)]
+    first, counter = runs[0]
+    assert [s.t for s in first.steps] == [1, 2, 3, 4, 5, 6]
+    assert first.steps[-1].z.values.shape == (n, first.z0.values.shape[1])
+    for trace, other_counter in runs[1:]:
+        assert _walk_bytes(trace) == _walk_bytes(first)
+        assert other_counter == counter
+    # Each step draws decoder noise and corruption, 2 * 2 * n * data_dim raw.
+    assert counter == 17 + 6 * 4 * n * system().data_dim
+    if system is _identity_encoder_system:
+        whole, whole_counter = _chunked_walk(system(), n, None, n, monkeypatch)
+        assert _walk_bytes(whole) == _walk_bytes(first)
+        assert whole_counter == counter
+
+
+def test_sinks_and_row_coupled_models_walk_the_whole_batch(tiny_vae,
+                                                          monkeypatch):
+    def refuse(*args):
+        raise AssertionError("walked in chunks")
+
+    monkeypatch.setattr(chain_module, "_CHUNK_ROWS", 2)
+    monkeypatch.setattr(chain_module, "_walk_chunks", refuse)
+    assert not GenerativeAutoencoder.row_independent
+    run_chain(tiny_vae, sample_prior(8, tiny_vae.prior, Rng(44)), 2, rng=Rng(45))
+    seen = []
+    model = OracleModelAdapter(_identity_encoder_system())
+    run_chain(model, LatentBatch(Rng(46).normal((8, 3))), 2, rng=Rng(47),
+              sink=seen.append)
+    assert [s.z.values.shape for s in seen] == [(8, 3), (8, 3)]
+
+
+class _FailingAdapter(OracleModelAdapter):
+    """Raises, or kills its own process, in a forked worker only."""
+
+    def __init__(self, system, how):
+        super().__init__(system)
+        self.parent = os.getpid()
+        self.how = how
+
+    def chain_decode(self, z, rng):
+        if os.getpid() != self.parent:
+            if self.how == "dies":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise ValueError("worker refused")
+        return super().chain_decode(z, rng)
+
+
+@contextmanager
+def _deadline(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@needs_fork
+@pytest.mark.parametrize("how,detail", [("raises", "ValueError: worker refused"),
+                                        ("dies", "code -9")])
+def test_a_failed_worker_raises_a_worker_error(how, detail, monkeypatch):
+    monkeypatch.setattr(chain_module, "_CHUNK_ROWS", 4)
+    model = _FailingAdapter(_identity_encoder_system(), how)
+    rng = Rng(48)
+    with _deadline(60), pytest.raises(WorkerError, match=detail) as info:
+        run_chain(model, LatentBatch(Rng(49).normal((10, 3))), 3, rng=rng,
+                  _workers=2)
+    assert isinstance(info.value, LatentWalkError)
+    assert rng.counter == 0
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
 import json
+import os
 import struct
 import tracemalloc
 
@@ -8,9 +9,12 @@ import numpy as np
 import pytest
 
 from latentwalk import (ConfigError, CorruptionSpec, GenerativeAutoencoder,
-                        PriorSpec, Rng, export_trace, load_arrays,
-                        load_checkpoint, parse_config, read_checkpoint_header,
-                        run_chain, sample_prior, save_checkpoint)
+                        OracleModelAdapter, PriorSpec, Rng, export_trace,
+                        load_arrays, load_checkpoint, parse_config,
+                        read_checkpoint_header, run_chain, sample_prior,
+                        save_checkpoint)
+from latentwalk import chain as chain_module
+from latentwalk import data as data_module
 from latentwalk.cli import main
 
 FAST = ("train_size = 96\n"
@@ -118,6 +122,23 @@ def test_sample_streams_the_trace_export_trace_writes(tmp_path):
                       spec=CorruptionSpec(model.corruption_variance), rng=rng)
     export_trace(trace, tmp_path / "whole.bin")
     assert (out / "trace.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+
+def test_a_walk_reads_its_checkpoint_once(tmp_path, monkeypatch):
+    """All four walks open their checkpoint through one `_open`."""
+    ckpt = _image_checkpoint(tmp_path)
+    reads = []
+    read_container = data_module._read_container
+
+    def counted(path):
+        reads.append(path)
+        return read_container(path)
+
+    monkeypatch.setattr(data_module, "_read_container", counted)
+    code = main(["sample", "--checkpoint", str(ckpt), "--seed", "4", "--n", "4",
+                 "--steps", "0,1", "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert reads == [str(ckpt)]
 
 
 def test_sample_holds_a_few_steps_not_the_walk(tmp_path):
@@ -272,6 +293,27 @@ def test_oracle_check_passes_by_default(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "PASS" in printed
     assert "FAIL" not in printed
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+def test_oracle_check_fails_cleanly_when_a_chain_worker_fails(tmp_path, capsys,
+                                                             monkeypatch):
+    parent = os.getpid()
+    decode = OracleModelAdapter.chain_decode
+
+    def refuse_in_workers(self, z, rng):
+        if os.getpid() != parent:
+            raise RuntimeError("worker refused")
+        return decode(self, z, rng)
+
+    monkeypatch.setattr(OracleModelAdapter, "chain_decode", refuse_in_workers)
+    monkeypatch.setattr(chain_module, "_CHUNK_ROWS", 16)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    code = main(["oracle-check", "--out", str(tmp_path / "oc"),
+                 "--chains", "100"])
+    assert code == 1
+    assert "RuntimeError: worker refused" in capsys.readouterr().err
 
 
 def test_oracle_check_flags_divergence(tmp_path, capsys):

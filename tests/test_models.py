@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from latentwalk import (Adam, ContractViolation, GenerativeAutoencoder, Rng,
                         Tensor, adversary_score, decode, encode_aae,
-                        encode_mean, encode_vae, resolve_variant,
-                        set_norm_mode)
+                        encode_mean, encode_vae, load_checkpoint,
+                        resolve_variant, save_checkpoint, set_norm_mode)
 from latentwalk import tensor as T
 from latentwalk.layers import Activation, BatchNormLayer, DenseLayer, Dropout
 
@@ -161,6 +161,18 @@ def test_batchnorm_eval_uses_running_stats():
     assert np.all(np.abs(one.data) > 0.5)
 
 
+def test_float32_model_holds_only_float32_arrays():
+    """Running statistics too, also after training moved them."""
+    model = GenerativeAutoencoder("vae", 3, 2, hidden_dims=(4,),
+                                  dtype=np.float32)
+    x = Tensor(Rng(3).uniform((8, 3)), dtype=np.float32)
+    decode(model, encode_vae(model, x, Rng(4), update_running=True)[0],
+           update_running=True)
+    dtypes = {name: a.dtype for name, a in model.named_arrays()}
+    assert any(name.endswith("running_var") for name in dtypes)
+    assert set(dtypes.values()) == {np.dtype(np.float32)}
+
+
 def test_batchnorm_train_mode_rejects_a_single_row():
     bn = BatchNormLayer(2)
     with pytest.raises(ContractViolation):
@@ -222,6 +234,27 @@ def test_variant_validation():
         GenerativeAutoencoder("vae", 2, 2, hidden_dims=())
     with pytest.raises(ContractViolation):
         GenerativeAutoencoder("vae", 2, 2, corruption_variance=-0.1)
+
+
+def test_numpy_integer_dimensions_are_saved_as_ints(tmp_path):
+    model = GenerativeAutoencoder("aae", np.int64(3), np.int32(2),
+                                  hidden_dims=(np.int64(4),),
+                                  adversary_dims=(np.uint8(5),))
+    arch = model.arch()
+    assert json.loads(json.dumps(arch)) == arch
+    assert [type(v) for v in (arch["data_dim"], arch["latent_dim"],
+                              *arch["hidden_dims"], *arch["adversary_dims"])] \
+        == [int] * 4
+    save_checkpoint(model, tmp_path / "model.ckpt")
+    assert load_checkpoint(tmp_path / "model.ckpt").arch() == arch
+
+
+@pytest.mark.parametrize("dims", [dict(data_dim=3.0), dict(latent_dim="2"),
+                                  dict(hidden_dims=(4.5,))])
+def test_non_integer_dimensions_are_rejected(dims):
+    args = dict(variant="vae", data_dim=3, latent_dim=2) | dims
+    with pytest.raises(ContractViolation, match="integers"):
+        GenerativeAutoencoder(**args)
 
 
 def test_aae_narrow_head_rejected():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentwalk import ContractViolation, DomainError, Tensor
+from latentwalk import ContractViolation, DomainError, Rng, Tensor
 from latentwalk import tensor as T
 from latentwalk.errors import ShapeMismatchError
 from latentwalk.tensor import finite_diff_check
@@ -152,6 +152,26 @@ def _two_branch_sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def _masked_divide_sigmoid(x):
+    """The form sigmoid used before it divided once: 1/(1+e) written over
+    e/(1+e) where x >= 0, with e = exp(-|x|)."""
+    e = np.exp(-np.abs(x))
+    d = e + 1.0
+    out = np.divide(e, d)
+    np.divide(1.0, d, out=out, where=x >= 0)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_is_bit_identical_to_the_masked_divide(dtype):
+    x = np.concatenate([[0.0, -0.0, 800.0, -800.0],
+                        np.linspace(-800.0, 800.0, 4001),
+                        Rng(12).normal(4096) * 20.0]).astype(dtype)
+    out = T.sigmoid(Tensor(x, dtype=dtype)).data
+    assert out.dtype == dtype
+    assert out.tobytes() == _masked_divide_sigmoid(x).tobytes()
 
 
 @pytest.mark.parametrize("dtype,magnitudes", [
