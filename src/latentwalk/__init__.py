@@ -15,8 +15,7 @@ from .data import (Dataset, RunOptions, export_trace, gen_gaussian_mixture,
 from .errors import (CheckpointError, ChecksumError, ConfigError,
                      ContractViolation, DegenerateGeometryError,
                      DivergenceError, DomainError, IdxFormatError,
-                     LatentWalkError, ShapeMismatchError, VersionError,
-                     WorkerError)
+                     LatentWalkError, ShapeMismatchError, VersionError)
 from .metrics import (MetricsReport, chain_diagnostics, gaussian_kl_details,
                       gaussian_kl_to_prior, median_heuristic_bandwidth,
                       mmd_rbf, write_report)

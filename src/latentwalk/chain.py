@@ -14,14 +14,13 @@ the closed-form linear-Gaussian verifier plugs in.
 from __future__ import annotations
 
 import os
-import pickle
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NoReturn, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .errors import ContractViolation, DegenerateGeometryError, WorkerError
+from .errors import ContractViolation, DegenerateGeometryError
 from .models import PriorSpec
 from .objectives import CorruptionSpec, corrupt
 from .rng import Rng
@@ -205,9 +204,9 @@ def run_chain(model, z0: LatentBatch, steps: int, denoising: bool = False,
 
     A model whose `row_independent` attribute is true declares that each row's
     transition ignores the other rows of its batch. Without a sink, such a
-    walk of at least two `_CHUNK_ROWS` chunks runs chunk by chunk on every
-    core (`_walk_chunks`), with the same bytes. `_workers` overrides the
-    number of worker processes; tests use it.
+    walk of at least two `_CHUNK_ROWS` chunks runs its chunks on a pool of
+    threads, one per core (`_walk_chunks`), with the same bytes. `_workers`
+    overrides the number of threads; tests use it.
     """
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, got {steps}")
@@ -249,13 +248,16 @@ def _walk_chunks(model, z0: LatentBatch, steps: int,
 
     Each chunk draws through its own row window of `rng`, so it gets exactly
     its rows of the whole batch's draws, and `rng` ends where a whole-batch
-    walk leaves it. The chunks depend only on the row count, never on the
-    number of workers, which is the CPU count unless `workers` is given.
+    walk leaves it. The chunks depend only on the row count, not on the
+    number of threads: `workers`, or the CPU count (NumPy releases the GIL
+    inside a chunk's ufuncs and products). What a chunk raises propagates,
+    with `rng` untouched, once every thread is joined.
     """
     n = len(z0)
-    bounds = [(lo, min(lo + _CHUNK_ROWS, n)) for lo in range(0, n, _CHUNK_ROWS)]
+    los = range(0, n, _CHUNK_ROWS)
 
-    def walk(lo: int, hi: int) -> tuple[list[ChainStep], int]:
+    def walk(lo: int) -> tuple[list[ChainStep], int]:
+        hi = min(lo + _CHUNK_ROWS, n)
         window = rng.window(n, lo, hi)
         chunk = LatentBatch(z0.values[lo:hi], provenance=z0.provenance)
         return _walk(model, chunk, steps, spec, window, kept), window.counter
@@ -263,11 +265,9 @@ def _walk_chunks(model, z0: LatentBatch, steps: int,
     if workers is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    workers = min(workers, len(bounds))
-    if workers > 1 and hasattr(os, "fork"):
-        parts = _in_workers(walk, bounds, workers)
-    else:
-        parts = [walk(lo, hi) for lo, hi in bounds]
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=min(workers, len(los))) as pool:
+        parts = list(pool.map(walk, los))
     counters = {counter for _, counter in parts}
     if len(counters) != 1:
         raise ContractViolation(
@@ -287,69 +287,6 @@ def _walk_chunks(model, z0: LatentBatch, steps: int,
                                   x_tilde=stitch([s.x_tilde for s in chunk_steps]),
                                   z=z, t=first.t))
     return stitched
-
-
-def _in_workers(walk, bounds: list[tuple[int, int]], workers: int) -> list:
-    """`walk(lo, hi)` of every chunk, in chunk order, with chunk i run in
-    forked worker i % workers. A worker that raises or dies raises
-    `WorkerError` here; every worker is reaped before this returns or raises.
-    """
-    import signal
-
-    running = {}  # pid -> read end of the pipe, of each worker not yet reaped
-    try:
-        for w in range(workers):
-            r, wfd = os.pipe()
-            reader = os.fdopen(r, "rb")
-            try:
-                pid = os.fork()
-            except OSError as exc:
-                reader.close()
-                os.close(wfd)
-                raise WorkerError(f"cannot start chain worker {w + 1} of "
-                                  f"{workers}: {exc}") from None
-            if pid == 0:
-                _report(wfd, lambda: [(i, walk(*bounds[i]))
-                                      for i in range(w, len(bounds), workers)])
-            os.close(wfd)
-            running[pid] = reader
-        payloads = [fh.read() for fh in running.values()]
-        codes = []
-        for pid in list(running):
-            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-            running.pop(pid).close()
-    finally:
-        for pid, fh in running.items():
-            fh.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    parts = [None] * len(bounds)
-    for w, (payload, code) in enumerate(zip(payloads, codes)):
-        if code != 0:
-            detail = pickle.loads(payload) if code == 1 else "no report"
-            raise WorkerError(f"chain worker {w + 1} of {workers} exited with "
-                              f"code {code}: {detail}")
-        for i, part in pickle.loads(payload):
-            parts[i] = part
-    return parts
-
-
-def _report(fd: int, work: Callable[[], object]) -> NoReturn:
-    """The end of a forked worker: send the pickled result of `work()` through
-    `fd` and exit with code 0, or send what it raised and exit with 1 (2 when
-    nothing could be sent). It leaves only through `os._exit`, so nothing of
-    the stack it was forked from (a `finally`, an exit handler) runs twice."""
-    code = 2
-    try:
-        try:
-            payload, sent = pickle.dumps(work(), protocol=-1), 0
-        except BaseException as exc:  # the parent raises it as a WorkerError
-            payload, sent = pickle.dumps(f"{type(exc).__name__}: {exc}"), 1
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        code = sent
-    finally:
-        os._exit(code)
 
 
 @dataclass

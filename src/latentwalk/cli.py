@@ -23,9 +23,9 @@ import numpy as np
 from .chain import (Chain, LatentBatch, interpolation_grid, run_chain,
                     sample_prior)
 from .data import (_CONFIG_KEYS, Dataset, RunOptions, _parse_count,
-                   _parse_int_list, export_trace, gen_gaussian_mixture,
-                   load_checkpoint, load_idx, parse_config, save_checkpoint,
-                   write_image_grid)
+                   _parse_int_list, _parse_positive, export_trace,
+                   gen_gaussian_mixture, load_checkpoint, load_idx,
+                   parse_config, save_checkpoint, write_image_grid)
 from .errors import LatentWalkError
 from .metrics import chain_diagnostics, write_report
 from .models import (GenerativeAutoencoder, PriorSpec, encode_mean,
@@ -380,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="contraction of the base system (>= 1 to "
                                "demonstrate divergence detection)")
     key(p_oracle, "chains", default=10_000)
-    p_oracle.add_argument("--tol-cov", type=float, default=0.05)
+    p_oracle.add_argument("--tol-cov", type=_flag_type(_parse_positive),
+                          default=0.05)
     return parser
 
 

@@ -14,6 +14,7 @@ import struct
 import zlib
 from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -481,12 +482,19 @@ def _parse_variance(v: str) -> float:
     return out
 
 
-def _parse_int_list(v: str) -> tuple[int, ...]:
+def _parse_positive(v: str) -> float:
+    out = _parse_float(v)
+    if out <= 0:
+        raise ValueError("must be > 0")
+    return out
+
+
+def _parse_int_list(v: str, low: int = 0) -> tuple[int, ...]:
     items = tuple(int(p.strip(), 10) for p in v.split(",") if p.strip())
     if not items:
         raise ValueError("empty list")
-    if any(i < 0 for i in items):
-        raise ValueError("entries must be >= 0")
+    if any(i < low for i in items):
+        raise ValueError(f"entries must be >= {low}")
     return items
 
 
@@ -513,16 +521,16 @@ _CONFIG_KEYS = {
     "reconstruction_loss": _parse_choice(RECONSTRUCTION_LOSSES),
     # run options
     "variant": _parse_choice(VARIANT_NAMES),
-    "latent_dim": _parse_int,
-    "hidden_dims": _parse_int_list,
-    "adversary_dims": _parse_int_list,
+    "latent_dim": _parse_count,
+    "hidden_dims": partial(_parse_int_list, low=1),
+    "adversary_dims": partial(_parse_int_list, low=1),
     "dataset": str,
     "dataset_test": str,
-    "mixture_components": _parse_int,
-    "mixture_radius": _parse_float,
-    "mixture_std": _parse_float,
-    "train_size": _parse_int,
-    "test_size": _parse_int,
+    "mixture_components": _parse_count,
+    "mixture_radius": _parse_variance,
+    "mixture_std": _parse_positive,
+    "train_size": _parse_count,
+    "test_size": _parse_count,
     "chains": _parse_count,
     "steps": _parse_int_list,
     "bn_mode": _parse_choice(("train", "eval")),

@@ -25,11 +25,6 @@ class DivergenceError(LatentWalkError):
     """An iterative solver failed to converge within its iteration cap."""
 
 
-class WorkerError(LatentWalkError):
-    """A worker process could not start, or raised or died before it
-    returned its share."""
-
-
 class IdxFormatError(LatentWalkError):
     """Malformed IDX file; `offset` is the byte offset of the problem."""
 

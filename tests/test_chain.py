@@ -1,9 +1,7 @@
 """Latent-space walk mechanics: prior draws, transitions, traces, slerp."""
 
 import math
-import os
-import signal
-from contextlib import contextmanager
+import threading
 
 import numpy as np
 import pytest
@@ -11,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentwalk import (ContractViolation, CorruptionSpec,
-                        DegenerateGeometryError, GenerativeAutoencoder,
-                        LatentBatch, LatentWalkError, OracleModelAdapter,
-                        OracleSystem, PriorSpec, Rng, WorkerError,
+                        DegenerateGeometryError, DomainError,
+                        GenerativeAutoencoder, LatentBatch, OracleModelAdapter,
+                        OracleSystem, PriorSpec, Rng,
                         denoising_transition_step, interpolation_grid,
                         random_contractive_system, run_chain, sample_prior,
                         slerp, transition_step)
@@ -254,10 +252,6 @@ def test_trace_defaults():
 # ---------------------------------------------------------------------------
 # chunked walks of row-independent models
 
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
-                                reason="workers are forked")
-
-
 def _identity_encoder_system():
     d = Rng(40).normal((3, 3))
     d *= 0.7 / max(abs(np.linalg.eigvals(d)))
@@ -287,7 +281,6 @@ def _walk_bytes(trace):
              s.z.values.tobytes()) for s in trace.steps]
 
 
-@needs_fork
 @pytest.mark.parametrize("system", [_identity_encoder_system,
                                     _rectangular_system])
 @pytest.mark.parametrize("n", [29, 32])
@@ -328,46 +321,24 @@ def test_sinks_and_row_coupled_models_walk_the_whole_batch(tiny_vae,
 
 
 class _FailingAdapter(OracleModelAdapter):
-    """Raises, or kills its own process, in a forked worker only."""
-
-    def __init__(self, system, how):
-        super().__init__(system)
-        self.parent = os.getpid()
-        self.how = how
+    """Raises a DomainError when it decodes off the main thread."""
 
     def chain_decode(self, z, rng):
-        if os.getpid() != self.parent:
-            if self.how == "dies":
-                os.kill(os.getpid(), signal.SIGKILL)
-            raise ValueError("worker refused")
+        if threading.current_thread() is not threading.main_thread():
+            raise DomainError("chunk refused")
         return super().chain_decode(z, rng)
 
 
-@contextmanager
-def _deadline(seconds):
-    def expire(signum, frame):
-        raise TimeoutError(f"no result within {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-@needs_fork
-@pytest.mark.parametrize("how,detail", [("raises", "ValueError: worker refused"),
-                                        ("dies", "code -9")])
-def test_a_failed_worker_raises_a_worker_error(how, detail, monkeypatch):
+def test_an_error_in_a_chunk_thread_leaves_run_chain_unchanged(monkeypatch):
+    """The chunk's own exception reaches the caller, every thread is joined
+    and the rng is not advanced."""
     monkeypatch.setattr(chain_module, "_CHUNK_ROWS", 4)
-    model = _FailingAdapter(_identity_encoder_system(), how)
+    model = _FailingAdapter(_identity_encoder_system())
     rng = Rng(48)
-    with _deadline(60), pytest.raises(WorkerError, match=detail) as info:
+    threads = threading.active_count()
+    with pytest.raises(DomainError, match="chunk refused") as info:
         run_chain(model, LatentBatch(Rng(49).normal((10, 3))), 3, rng=rng,
                   _workers=2)
-    assert isinstance(info.value, LatentWalkError)
+    assert type(info.value) is DomainError
     assert rng.counter == 0
-    with pytest.raises(ChildProcessError):  # every worker was reaped
-        os.waitpid(-1, os.WNOHANG)
+    assert threading.active_count() == threads

@@ -1,18 +1,18 @@
 """End-to-end runs of every subcommand through main(argv)."""
 
 import json
-import os
 import struct
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from latentwalk import (ConfigError, CorruptionSpec, GenerativeAutoencoder,
-                        OracleModelAdapter, PriorSpec, Rng, export_trace,
-                        load_arrays, load_checkpoint, parse_config,
-                        read_checkpoint_header, run_chain, sample_prior,
-                        save_checkpoint)
+from latentwalk import (ConfigError, CorruptionSpec, DomainError,
+                        GenerativeAutoencoder, OracleModelAdapter, PriorSpec,
+                        Rng, export_trace, load_arrays, load_checkpoint,
+                        parse_config, read_checkpoint_header, run_chain,
+                        sample_prior, save_checkpoint)
 from latentwalk import chain as chain_module
 from latentwalk import data as data_module
 from latentwalk.cli import main
@@ -295,25 +295,31 @@ def test_oracle_check_passes_by_default(tmp_path, capsys):
     assert "FAIL" not in printed
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
-def test_oracle_check_fails_cleanly_when_a_chain_worker_fails(tmp_path, capsys,
-                                                             monkeypatch):
-    parent = os.getpid()
+def test_oracle_check_fails_cleanly_when_a_chunk_thread_raises(tmp_path, capsys,
+                                                              monkeypatch):
     decode = OracleModelAdapter.chain_decode
 
-    def refuse_in_workers(self, z, rng):
-        if os.getpid() != parent:
-            raise RuntimeError("worker refused")
+    def refuse_off_main(self, z, rng):
+        if threading.current_thread() is not threading.main_thread():
+            raise DomainError("chunk refused")
         return decode(self, z, rng)
 
-    monkeypatch.setattr(OracleModelAdapter, "chain_decode", refuse_in_workers)
+    monkeypatch.setattr(OracleModelAdapter, "chain_decode", refuse_off_main)
     monkeypatch.setattr(chain_module, "_CHUNK_ROWS", 16)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
     code = main(["oracle-check", "--out", str(tmp_path / "oc"),
                  "--chains", "100"])
     assert code == 1
-    assert "RuntimeError: worker refused" in capsys.readouterr().err
+    assert "error: chunk refused" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_oracle_check_tolerance_must_be_finite_and_positive(tmp_path, capsys,
+                                                            tol):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--out", str(tmp_path / "oc"), "--tol-cov", tol])
+    assert exc.value.code == 2
+    assert "argument --tol-cov" in capsys.readouterr().err
+    assert not (tmp_path / "oc").exists()
 
 
 def test_oracle_check_flags_divergence(tmp_path, capsys):
@@ -362,6 +368,15 @@ def test_bad_config_file_returns_one(tmp_path, capsys):
     ("epochs", "0", "must be >= 1"),
     ("batch_size", "0", "must be >= 1"),
     ("corruption_variance", "-1", "must be >= 0"),
+    ("latent_dim", "0", "must be >= 1"),
+    ("train_size", "0", "must be >= 1"),
+    ("test_size", "-3", "must be >= 1"),
+    ("mixture_components", "0", "must be >= 1"),
+    ("hidden_dims", "64,0", "entries must be >= 1"),
+    ("adversary_dims", "0", "entries must be >= 1"),
+    ("mixture_std", "0", "must be > 0"),
+    ("mixture_std", "-0.5", "must be > 0"),
+    ("mixture_radius", "-1", "must be >= 0"),
 ])
 def test_flag_and_config_key_reject_the_same_values(tmp_path, capsys, key,
                                                      value, why):
@@ -371,7 +386,7 @@ def test_flag_and_config_key_reject_the_same_values(tmp_path, capsys, key,
     flag = "--" + key.replace("_", "-")
     argv = (["train"] if key == "variant" else
             ["sample", "--checkpoint", str(tmp_path / "none.ckpt")])
-    if key not in ("epochs", "batch_size"):
+    if key in ("steps", "variant", "corruption_variance", "bn_mode"):
         with pytest.raises(SystemExit) as exc:
             main([*argv, f"{flag}={value}", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
