@@ -46,8 +46,7 @@ def study_variant(variant: str, args: argparse.Namespace) -> dict:
     reference = LatentBatch(model.chain_encode(held_out.samples, rng),
                             provenance="encoded")
     z0 = sample_prior(args.chains, PriorSpec(args.latent_dim), rng)
-    trace = run_chain(model, z0, steps=args.steps, denoising=denoising,
-                      spec=corruption, rng=rng)
+    trace = run_chain(model, z0, steps=args.steps, spec=corruption, rng=rng)
     report = chain_diagnostics(trace, reference, PriorSpec(args.latent_dim))
     return {
         "variant": variant,

@@ -27,9 +27,9 @@ from .rng import Rng
 
 _ANGLE_TOL = 1e-6
 _CHAIN_RE = re.compile(r"^chain\((\d+)\)$")
-# Rows per chunk of a chunked walk (see `run_chain`). Chunking depends only
-# on the row count and this constant, never on the CPU count, so neither do
-# the bytes of a walk.
+# The fewest rows in a chunk of a chunked walk (see `run_chain`). Chunking
+# depends only on the row count and this constant, never on the CPU count, so
+# neither do the bytes of a walk.
 _CHUNK_ROWS = 16_384
 
 
@@ -69,12 +69,10 @@ class ChainStep:
 
 @dataclass
 class ChainTrace:
-    """A chain's starting batch, the steps it kept, and its run settings."""
+    """A chain's starting batch and the steps it kept."""
 
     z0: LatentBatch
     steps: list[ChainStep] = field(default_factory=list)
-    denoising: bool = False
-    norm_mode: str = "n/a"
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -182,20 +180,13 @@ def denoising_transition_step(model, z_t: LatentBatch, spec: CorruptionSpec,
     return _transition(model, z_t, spec, rng)
 
 
-def _model_norm_mode(model) -> str:
-    layers = getattr(model, "norm_layers", None)
-    if layers is None:
-        return "n/a"
-    modes = {bn.mode for bn in layers()}
-    return modes.pop() if len(modes) == 1 else "mixed"
-
-
-def run_chain(model, z0: LatentBatch, steps: int, denoising: bool = False,
+def run_chain(model, z0: LatentBatch, steps: int,
               spec: CorruptionSpec | None = None, rng: Rng | None = None,
               keep: Iterable[int] | None = None,
               sink: Callable[[ChainStep], None] | None = None,
               _workers: int | None = None) -> ChainTrace:
-    """Run `steps` transitions from z0.
+    """Run `steps` transitions from z0: the plain kernel when `spec` is None,
+    the denoising kernel with corruption `spec` otherwise.
 
     The trace holds z0 and the steps named in `keep` (every step when it is
     None); `sink`, when given, is called with each step as it is made, so a
@@ -204,25 +195,22 @@ def run_chain(model, z0: LatentBatch, steps: int, denoising: bool = False,
 
     A model whose `row_independent` attribute is true declares that each row's
     transition ignores the other rows of its batch. Without a sink, such a
-    walk of at least two `_CHUNK_ROWS` chunks runs its chunks on a pool of
-    threads, one per core (`_walk_chunks`), with the same bytes. `_workers`
-    overrides the number of threads; tests use it.
+    walk of at least `2 * _CHUNK_ROWS` rows runs near-equal chunks of at
+    least `_CHUNK_ROWS` rows on a pool of threads, one per core
+    (`_walk_chunks`). Its bytes are the whole-batch walk's as far as the BLAS
+    computes a row of a product alike in any block of at least `_CHUNK_ROWS`
+    rows. `_workers` overrides the number of threads; tests use it.
     """
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, got {steps}")
-    if denoising and spec is None:
-        raise ContractViolation("denoising chains need a CorruptionSpec")
     if rng is None:
         raise ContractViolation("run_chain needs an rng")
     kept = None if keep is None else frozenset(keep)
-    spec = spec if denoising else None
-    trace = ChainTrace(z0=z0, denoising=denoising, norm_mode=_model_norm_mode(model))
     if (sink is None and getattr(model, "row_independent", False)
             and len(z0) >= 2 * _CHUNK_ROWS):
-        trace.steps = _walk_chunks(model, z0, steps, spec, rng, kept, _workers)
-    else:
-        trace.steps = _walk(model, z0, steps, spec, rng, kept, sink)
-    return trace
+        return ChainTrace(z0, _walk_chunks(model, z0, steps, spec, rng, kept,
+                                           _workers))
+    return ChainTrace(z0, _walk(model, z0, steps, spec, rng, kept, sink))
 
 
 def _walk(model, z: LatentBatch, steps: int, spec: CorruptionSpec | None,
@@ -244,8 +232,10 @@ def _walk(model, z: LatentBatch, steps: int, spec: CorruptionSpec | None,
 def _walk_chunks(model, z0: LatentBatch, steps: int,
                  spec: CorruptionSpec | None, rng: Rng, kept: frozenset | None,
                  workers: int | None) -> list[ChainStep]:
-    """`_walk` over the `_CHUNK_ROWS`-row chunks of z0, stitched row-wise.
+    """`_walk` over near-equal row chunks of z0, stitched row-wise.
 
+    n rows make k = n // `_CHUNK_ROWS` chunks, chunk i holding rows
+    i * n // k to (i + 1) * n // k, so no chunk is shorter than `_CHUNK_ROWS`.
     Each chunk draws through its own row window of `rng`, so it gets exactly
     its rows of the whole batch's draws, and `rng` ends where a whole-batch
     walk leaves it. The chunks depend only on the row count, not on the
@@ -254,10 +244,10 @@ def _walk_chunks(model, z0: LatentBatch, steps: int,
     with `rng` untouched, once every thread is joined.
     """
     n = len(z0)
-    los = range(0, n, _CHUNK_ROWS)
+    k = n // _CHUNK_ROWS
+    bounds = [i * n // k for i in range(k + 1)]
 
-    def walk(lo: int) -> tuple[list[ChainStep], int]:
-        hi = min(lo + _CHUNK_ROWS, n)
+    def walk(lo: int, hi: int) -> tuple[list[ChainStep], int]:
         window = rng.window(n, lo, hi)
         chunk = LatentBatch(z0.values[lo:hi], provenance=z0.provenance)
         return _walk(model, chunk, steps, spec, window, kept), window.counter
@@ -266,8 +256,8 @@ def _walk_chunks(model, z0: LatentBatch, steps: int,
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=min(workers, len(los))) as pool:
-        parts = list(pool.map(walk, los))
+    with ThreadPoolExecutor(max_workers=min(workers, k)) as pool:
+        parts = list(pool.map(walk, bounds[:-1], bounds[1:]))
     counters = {counter for _, counter in parts}
     if len(counters) != 1:
         raise ContractViolation(
@@ -300,15 +290,10 @@ class Chain:
     model: object
     z0: LatentBatch
     steps: int
-    denoising: bool = False
     spec: CorruptionSpec | None = None
     rng: Rng | None = None
     keep: Iterable[int] | None = None
 
-    @property
-    def norm_mode(self) -> str:
-        return _model_norm_mode(self.model)
-
     def run(self, sink: Callable[[ChainStep], None] | None = None) -> ChainTrace:
-        return run_chain(self.model, self.z0, self.steps, self.denoising,
-                         self.spec, self.rng, keep=self.keep, sink=sink)
+        return run_chain(self.model, self.z0, self.steps, self.spec, self.rng,
+                         keep=self.keep, sink=sink)

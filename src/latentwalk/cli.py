@@ -133,22 +133,22 @@ def _write_batch(out: Path, stem: str, batch: np.ndarray,
 
 
 def _snapshot_steps(model, z0: LatentBatch, steps: tuple[int, ...],
-                    denoising: bool, spec: CorruptionSpec, rng: Rng,
+                    spec: CorruptionSpec | None, rng: Rng,
                     trace_path: Path | None = None) -> dict[int, np.ndarray]:
     """Run one chain to max(steps), keeping only `steps`; return {step: latents}
     in step order. With `trace_path`, every step is streamed to that file."""
-    chain = Chain(model, z0, max(steps), denoising=denoising, spec=spec, rng=rng,
-                  keep=steps)
+    chain = Chain(model, z0, max(steps), spec=spec, rng=rng, keep=steps)
     trace = chain.run() if trace_path is None else export_trace(chain, trace_path)
     kept = {0: trace.z0.values, **{step.t: step.z.values for step in trace.steps}}
     return {s: kept[s] for s in sorted(steps)}
 
 
 def _open(args, subcommand: str):
-    """Settings, output directory, checkpoint in the chosen norm mode and the
-    image shape, if any. For the manifest, the settings carry the model's
-    variant, denoising flag and precision, and the walk's corruption (flag,
-    else the model's), not the config file's."""
+    """Settings, output directory, checkpoint in the chosen norm mode, the
+    image shape, if any, and the walk's kernel: its corruption for a denoising
+    model, else None. For the manifest, the settings carry the model's
+    variant, architecture, denoising flag and precision, and the walk's
+    corruption (flag, else the model's), not the config file's."""
     cfg, opts = _resolve(args)
     out = _out_dir(args, subcommand)
     model, header = load_checkpoint(args.checkpoint, with_header=True)
@@ -156,10 +156,13 @@ def _open(args, subcommand: str):
     variance = getattr(args, "corruption_variance", None)
     cfg = replace(cfg, denoising=model.denoising, corruption=CorruptionSpec(
         model.corruption_variance if variance is None else variance))
-    opts = replace(opts, variant=model.name,
+    opts = replace(opts, variant=model.name, latent_dim=model.latent_dim,
+                   hidden_dims=model.hidden_dims,
+                   adversary_dims=model.adversary_dims,
                    precision="single" if model.dtype == np.float32 else "double")
     shape = header.get("data_shape")
-    return cfg, opts, out, model, tuple(shape) if shape else None
+    spec = cfg.corruption if model.denoising else None
+    return cfg, opts, out, model, tuple(shape) if shape else None, spec
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -191,14 +194,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg, opts, out, model, shape = _open(args, "sample")
+    cfg, opts, out, model, shape, spec = _open(args, "sample")
     n = args.n or opts.chains
     _write_manifest(out, "sample", cfg, opts, inputs=[str(args.checkpoint)],
                     outputs=[str(out / "trace.bin")])
     rng = Rng(cfg.seed).derive("sample")
     z0 = sample_prior(n, PriorSpec(model.latent_dim), rng)
-    snaps = _snapshot_steps(model, z0, opts.steps, model.denoising,
-                            cfg.corruption, rng, trace_path=out / "trace.bin")
+    snaps = _snapshot_steps(model, z0, opts.steps, spec, rng,
+                            trace_path=out / "trace.bin")
     render_rng = Rng(cfg.seed).derive("render")
     for s, latents in snaps.items():
         decoded = model.chain_decode(latents, render_rng)
@@ -212,7 +215,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    cfg, opts, out, model, shape = _open(args, "interpolate")
+    cfg, opts, out, model, shape, spec = _open(args, "interpolate")
     _write_manifest(out, "interpolate", cfg, opts,
                     inputs=[str(args.checkpoint)],
                     outputs=[f"grid_step<k> for k in {list(opts.steps)}"])
@@ -225,8 +228,7 @@ def cmd_interpolate(args) -> int:
         model, Tensor(data.samples[list(args.indices)], dtype=model.dtype)).data
     grid = interpolation_grid(corners, args.rows, args.cols)
     rng = Rng(cfg.seed).derive("interpolate")
-    snaps = _snapshot_steps(model, grid, opts.steps, model.denoising,
-                            cfg.corruption, rng)
+    snaps = _snapshot_steps(model, grid, opts.steps, spec, rng)
     render_rng = Rng(cfg.seed).derive("render")
     for s, latents in snaps.items():
         decoded = model.chain_decode(latents, render_rng)
@@ -240,7 +242,7 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cfg, opts, out, model, shape = _open(args, "reconstruct")
+    cfg, opts, out, model, shape, _ = _open(args, "reconstruct")
     data = _load_split(opts, cfg.seed, "test")
     n = min(args.n, len(data))
     errors_path = out / "errors.csv"
@@ -270,7 +272,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg, opts, out, model, _ = _open(args, "evaluate")
+    cfg, opts, out, model, _, spec = _open(args, "evaluate")
     data = _load_split(opts, cfg.seed, "test")
     report_path = out / "report.csv"
     _write_manifest(out, "evaluate", cfg, opts,
@@ -283,8 +285,7 @@ def cmd_evaluate(args) -> int:
     z0 = sample_prior(opts.chains, PriorSpec(model.latent_dim), rng)
     # chain_diagnostics reads latents only: keep each step without its batches.
     steps = []
-    trace = run_chain(model, z0, max(opts.steps), denoising=model.denoising,
-                      spec=cfg.corruption, rng=rng, keep=(),
+    trace = run_chain(model, z0, max(opts.steps), spec=spec, rng=rng, keep=(),
                       sink=lambda step: steps.append(
                           replace(step, x=None, x_tilde=None)))
     trace.steps = steps

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import Chain, ChainStep, ChainTrace, LatentBatch
+from .chain import Chain, ChainStep, ChainTrace
 from .errors import (CheckpointError, ChecksumError, ConfigError,
                      ContractViolation, IdxFormatError, VersionError)
 from .models import VARIANT_NAMES, GenerativeAutoencoder, resolve_variant
@@ -329,25 +329,24 @@ class _TraceWriter(_ContainerWriter):
     denoising chains) and latent batches. Called with each step in order, it
     is a `run_chain` sink."""
 
-    def __init__(self, path: str | Path, z0: LatentBatch, steps: int,
-                 data_dim: int, denoising: bool, norm_mode: str):
-        n, b = z0.values.shape
+    def __init__(self, path: str | Path, chain: Chain):
+        n, b = chain.z0.values.shape
+        a = int(chain.model.data_dim)
+        denoising = chain.spec is not None
         tensors = [{"name": "z0", "shape": [n, b]}]
-        for t in range(1, steps + 1):
-            tensors.append({"name": f"step{t:04d}.x", "shape": [n, int(data_dim)]})
+        for t in range(1, chain.steps + 1):
+            tensors.append({"name": f"step{t:04d}.x", "shape": [n, a]})
             if denoising:
-                tensors.append({"name": f"step{t:04d}.x_tilde",
-                                "shape": [n, int(data_dim)]})
+                tensors.append({"name": f"step{t:04d}.x_tilde", "shape": [n, a]})
             tensors.append({"name": f"step{t:04d}.z", "shape": [n, b]})
         super().__init__(path, {
             "kind": "arrays",
             "tensors": tensors,
-            "extra": {"denoising": denoising, "norm_mode": norm_mode,
-                      "steps": steps},
+            "extra": {"denoising": denoising, "steps": chain.steps},
         })
         self._denoising = denoising
         self._t = 0
-        self.write(z0.values)
+        self.write(chain.z0.values)
 
     def __call__(self, step: ChainStep) -> None:
         if step.t != self._t + 1:
@@ -360,24 +359,15 @@ class _TraceWriter(_ContainerWriter):
         self.write(step.z.values)
 
 
-def export_trace(trace: ChainTrace | Chain, path: str | Path) -> ChainTrace:
-    """Persist a chain: z0 plus per-step decoded/corrupted/latent arrays.
+def export_trace(chain: Chain, path: str | Path) -> ChainTrace:
+    """Run `chain` and persist it: z0 plus per-step decoded, corrupted (when
+    the chain has a corruption spec) and latent arrays.
 
-    A finished ChainTrace must hold every step; a trace that kept only some
-    is refused. A Chain not yet run is run
-    here with the open file as its sink, so each step is written as it is
-    made and only the steps the chain keeps stay in memory. Returns the trace.
+    The open file is the walk's sink, so each step is written as it is made
+    and only the steps the chain keeps stay in memory. Returns the trace.
     """
-    if isinstance(trace, Chain):
-        with _TraceWriter(path, trace.z0, trace.steps, trace.model.data_dim,
-                          trace.denoising, trace.norm_mode) as writer:
-            return trace.run(sink=writer)
-    data_dim = trace.steps[0].x.shape[1] if trace.steps else 0
-    with _TraceWriter(path, trace.z0, len(trace.steps), data_dim,
-                      trace.denoising, trace.norm_mode) as writer:
-        for step in trace.steps:
-            writer(step)
-    return trace
+    with _TraceWriter(path, chain) as writer:
+        return chain.run(sink=writer)
 
 
 # -- checkpoints ---------------------------------------------------------------------

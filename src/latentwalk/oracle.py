@@ -168,7 +168,6 @@ class OracleModelAdapter:
         self.system = sys
         self.latent_dim = sys.latent_dim
         self.data_dim = sys.data_dim
-        self.denoising = sys.corruption_variance > 0.0
         self._decode_t = sys.D.T
         self._encode_t = sys.E.T
 
@@ -308,7 +307,6 @@ def run_oracle_suite(seed: int = 0, radius: float = 0.5, n_chains: int = 10_000,
     seed_pair = int(rng.derive("bit-identity").seed)
     direct = oracle_sample_chain(corr, z0, 20, Rng(seed_pair))
     trace = run_chain(OracleModelAdapter(corr), LatentBatch(z0.copy()), 20,
-                      denoising=True,
                       spec=CorruptionSpec(corr.corruption_variance),
                       rng=Rng(seed_pair))
     same = all(np.array_equal(direct[t], lat)

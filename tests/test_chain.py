@@ -86,7 +86,6 @@ def test_run_chain_records_every_step(tiny_vae):
     assert len(lat) == 5  # z0 plus four steps
     assert np.array_equal(lat[0], z0.values)
     assert trace.steps[-1].z.provenance == "chain(4)"
-    assert trace.denoising is False
 
 
 def test_run_chain_is_seed_deterministic(tiny_vae):
@@ -100,10 +99,10 @@ def test_run_chain_is_seed_deterministic(tiny_vae):
 def test_run_chain_keeps_only_named_steps(tiny_vae):
     z0 = sample_prior(5, tiny_vae.prior, Rng(20))
     spec = CorruptionSpec(0.1)
-    full = run_chain(tiny_vae, z0, steps=6, denoising=True, spec=spec, rng=Rng(21))
+    full = run_chain(tiny_vae, z0, steps=6, spec=spec, rng=Rng(21))
     seen = []
-    kept = run_chain(tiny_vae, z0, steps=6, denoising=True, spec=spec,
-                     rng=Rng(21), keep=(0, 2, 6), sink=seen.append)
+    kept = run_chain(tiny_vae, z0, steps=6, spec=spec, rng=Rng(21),
+                     keep=(0, 2, 6), sink=seen.append)
     assert [step.t for step in seen] == [1, 2, 3, 4, 5, 6]
     assert [step.t for step in kept.steps] == [2, 6]
     assert kept.z0 is z0
@@ -114,10 +113,23 @@ def test_run_chain_keeps_only_named_steps(tiny_vae):
         assert np.array_equal(step.x_tilde, twin.x_tilde)
 
 
-def test_run_chain_denoising_requires_spec(tiny_vae):
-    z0 = sample_prior(3, tiny_vae.prior, Rng(9))
-    with pytest.raises(ContractViolation):
-        run_chain(tiny_vae, z0, steps=2, denoising=True, spec=None, rng=Rng(10))
+@pytest.mark.parametrize("spec", [None, CorruptionSpec(0.3)],
+                         ids=["plain", "denoising"])
+def test_run_chain_spec_alone_selects_the_kernel(tiny_vae, spec):
+    """A spec walks the denoising kernel, None the plain one: each step's
+    bytes are those of the matching single-step kernel, chained."""
+    z = z0 = sample_prior(3, tiny_vae.prior, Rng(9))
+    trace = run_chain(tiny_vae, z0, steps=3, spec=spec, rng=Rng(10))
+    rng = Rng(10)
+    for step in trace.steps:
+        if spec is None:
+            x, z = transition_step(tiny_vae, z, rng)
+            assert step.x_tilde is None
+        else:
+            x, x_tilde, z = denoising_transition_step(tiny_vae, z, spec, rng)
+            assert step.x_tilde.tobytes() == x_tilde.tobytes()
+        assert step.x.tobytes() == x.tobytes()
+        assert step.z.values.tobytes() == z.values.tobytes()
 
 
 def test_run_chain_zero_steps(tiny_vae):
@@ -246,7 +258,6 @@ def test_trace_defaults():
     z0 = LatentBatch(np.zeros((2, 2)))
     trace = ChainTrace(z0)
     assert trace.steps == []
-    assert trace.norm_mode == "n/a"
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +281,7 @@ def _chunked_walk(system, n, workers, chunk_rows, monkeypatch):
     monkeypatch.setattr(chain_module, "_CHUNK_ROWS", chunk_rows)
     rng = Rng(42, counter=17)
     z0 = LatentBatch(Rng(43).normal((n, system.latent_dim)))
-    trace = run_chain(OracleModelAdapter(system), z0, 6, denoising=True,
+    trace = run_chain(OracleModelAdapter(system), z0, 6,
                       spec=CorruptionSpec(system.corruption_variance), rng=rng,
                       _workers=workers)
     return trace, rng.counter
@@ -283,11 +294,12 @@ def _walk_bytes(trace):
 
 @pytest.mark.parametrize("system", [_identity_encoder_system,
                                     _rectangular_system])
-@pytest.mark.parametrize("n", [29, 32])
+@pytest.mark.parametrize("n", [17, 29, 32])
 def test_chunked_walk_bytes_do_not_depend_on_the_worker_count(system, n,
                                                                monkeypatch):
-    """Chunks of 8 rows, the last one partial for 29 rows; 1, 2 and 3
-    workers give the same trace and leave the rng at the same counter."""
+    """Near-equal chunks of at least 8 rows (8+9 for 17 rows, 9+10+10 for 29);
+    1, 2 and 3 workers give the whole-batch walk's trace and leave the rng
+    at its counter."""
     runs = [_chunked_walk(system(), n, workers, 8, monkeypatch)
             for workers in (1, 2, 3)]
     first, counter = runs[0]
@@ -298,10 +310,9 @@ def test_chunked_walk_bytes_do_not_depend_on_the_worker_count(system, n,
         assert other_counter == counter
     # Each step draws decoder noise and corruption, 2 * 2 * n * data_dim raw.
     assert counter == 17 + 6 * 4 * n * system().data_dim
-    if system is _identity_encoder_system:
-        whole, whole_counter = _chunked_walk(system(), n, None, n, monkeypatch)
-        assert _walk_bytes(whole) == _walk_bytes(first)
-        assert whole_counter == counter
+    whole, whole_counter = _chunked_walk(system(), n, None, n, monkeypatch)
+    assert _walk_bytes(whole) == _walk_bytes(first)
+    assert whole_counter == counter
 
 
 def test_sinks_and_row_coupled_models_walk_the_whole_batch(tiny_vae,

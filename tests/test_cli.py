@@ -10,9 +10,9 @@ import pytest
 
 from latentwalk import (ConfigError, CorruptionSpec, DomainError,
                         GenerativeAutoencoder, OracleModelAdapter, PriorSpec,
-                        Rng, export_trace, load_arrays, load_checkpoint,
-                        parse_config, read_checkpoint_header, run_chain,
-                        sample_prior, save_checkpoint)
+                        Rng, load_arrays, load_checkpoint, parse_config,
+                        read_checkpoint_header, run_chain, sample_prior,
+                        save_checkpoint)
 from latentwalk import chain as chain_module
 from latentwalk import data as data_module
 from latentwalk.cli import main
@@ -109,7 +109,8 @@ def _image_checkpoint(tmp_path, denoising=True):
     return path
 
 
-def test_sample_streams_the_trace_export_trace_writes(tmp_path):
+def test_sample_streams_the_trace_export_trace_writes(tmp_path,
+                                                     save_whole_walk):
     ckpt = _image_checkpoint(tmp_path)
     out = tmp_path / "samples"
     code = main(["sample", "--checkpoint", str(ckpt), "--seed", "4", "--n", "8",
@@ -118,9 +119,9 @@ def test_sample_streams_the_trace_export_trace_writes(tmp_path):
     model = load_checkpoint(ckpt)
     rng = Rng(4).derive("sample")
     z0 = sample_prior(8, PriorSpec(model.latent_dim), rng)
-    trace = run_chain(model, z0, 7, denoising=True,
+    trace = run_chain(model, z0, 7,
                       spec=CorruptionSpec(model.corruption_variance), rng=rng)
-    export_trace(trace, tmp_path / "whole.bin")
+    save_whole_walk(trace, tmp_path / "whole.bin", denoising=True)
     assert (out / "trace.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
 
 
@@ -437,7 +438,24 @@ def test_walk_manifests_record_the_model_that_ran(tmp_path, fast_cfg, variant):
         assert config["options"]["precision"] == "double"
 
 
-def test_single_precision_model_is_walked_in_single(tmp_path, fast_cfg):
+def test_walk_manifests_record_the_architecture_that_ran(tmp_path):
+    """A walk without a config file records the checkpoint's latent,
+    hidden and adversary sizes, not the config defaults."""
+    arch = tmp_path / "arch.cfg"
+    arch.write_text(FAST + "latent_dim = 3\nhidden_dims = 16,16\n"
+                    "adversary_dims = 8\n")
+    run = _train(tmp_path, str(arch), variant="daae")
+    out = tmp_path / "samples"
+    assert main(["sample", "--checkpoint", str(run / "model.ckpt"),
+                 "--n", "8", "--steps", "0,1", "--out", str(out)]) == 0
+    options = json.loads((out / "manifest.json").read_text())["config"]["options"]
+    assert options["latent_dim"] == 3
+    assert options["hidden_dims"] == [16, 16]
+    assert options["adversary_dims"] == [8]
+
+
+def test_single_precision_model_is_walked_in_single(tmp_path, fast_cfg,
+                                                    save_whole_walk):
     """A model trained in single precision is stored, loaded and walked in
     float32, whatever the walk config's precision."""
     single = tmp_path / "single.cfg"
@@ -452,9 +470,9 @@ def test_single_precision_model_is_walked_in_single(tmp_path, fast_cfg):
     assert manifest["config"]["options"]["precision"] == "single"
     rng = Rng(4).derive("sample")
     z0 = sample_prior(24, PriorSpec(model.latent_dim), rng)
-    trace = run_chain(model, z0, 1, denoising=True,
+    trace = run_chain(model, z0, 1,
                       spec=CorruptionSpec(model.corruption_variance), rng=rng)
-    export_trace(trace, tmp_path / "single.bin")
+    save_whole_walk(trace, tmp_path / "single.bin", denoising=True)
     assert (out / "trace.bin").read_bytes() == (tmp_path / "single.bin").read_bytes()
 
 
