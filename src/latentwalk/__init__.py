@@ -5,7 +5,7 @@ alternating decode and encode steps; a closed-form linear-Gaussian system
 verifies the chain machinery exactly.
 """
 
-from .chain import (Chain, ChainStep, ChainTrace, LatentBatch,
+from .chain import (ChainStep, ChainTrace, LatentBatch,
                     denoising_transition_step, interpolation_grid, run_chain,
                     sample_prior, slerp, transition_step)
 from .data import (Dataset, RunOptions, export_trace, gen_gaussian_mixture,

@@ -278,22 +278,3 @@ def _walk_chunks(model, z0: LatentBatch, steps: int,
                                   z=z, t=first.t))
     return stitched
 
-
-@dataclass
-class Chain:
-    """A chain not yet run: the arguments of `run_chain`.
-
-    Lets a consumer such as `data.export_trace` size its output from the
-    shapes before the first step is made.
-    """
-
-    model: object
-    z0: LatentBatch
-    steps: int
-    spec: CorruptionSpec | None = None
-    rng: Rng | None = None
-    keep: Iterable[int] | None = None
-
-    def run(self, sink: Callable[[ChainStep], None] | None = None) -> ChainTrace:
-        return run_chain(self.model, self.z0, self.steps, self.spec, self.rng,
-                         keep=self.keep, sink=sink)

@@ -20,13 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import (Chain, LatentBatch, interpolation_grid, run_chain,
-                    sample_prior)
+from .chain import LatentBatch, interpolation_grid, run_chain, sample_prior
 from .data import (_CONFIG_KEYS, Dataset, RunOptions, _parse_count,
                    _parse_int_list, _parse_positive, export_trace,
                    gen_gaussian_mixture, load_checkpoint, load_idx,
                    parse_config, save_checkpoint, write_image_grid)
-from .errors import LatentWalkError
+from .errors import ContractViolation, LatentWalkError
 from .metrics import chain_diagnostics, write_report
 from .models import (GenerativeAutoencoder, PriorSpec, encode_mean,
                      resolve_variant, set_norm_mode)
@@ -137,32 +136,40 @@ def _snapshot_steps(model, z0: LatentBatch, steps: tuple[int, ...],
                     trace_path: Path | None = None) -> dict[int, np.ndarray]:
     """Run one chain to max(steps), keeping only `steps`; return {step: latents}
     in step order. With `trace_path`, every step is streamed to that file."""
-    chain = Chain(model, z0, max(steps), spec=spec, rng=rng, keep=steps)
-    trace = chain.run() if trace_path is None else export_trace(chain, trace_path)
+    walk = (model, z0, max(steps), spec, rng)
+    trace = (run_chain(*walk, keep=steps) if trace_path is None
+             else export_trace(*walk, keep=steps, path=trace_path))
     kept = {0: trace.z0.values, **{step.t: step.z.values for step in trace.steps}}
     return {s: kept[s] for s in sorted(steps)}
 
 
 def _open(args, subcommand: str):
-    """Settings, output directory, checkpoint in the chosen norm mode, the
-    image shape, if any, and the walk's kernel: its corruption for a denoising
-    model, else None. For the manifest, the settings carry the model's
-    variant, architecture, denoising flag and precision, and the walk's
-    corruption (flag, else the model's), not the config file's."""
+    """Settings, output directory, checkpoint in the chosen norm mode and the
+    image shape, if any. The settings carry the model's variant,
+    architecture, denoising flag and precision, not the config file's, and as
+    `cfg.corruption` the corruption the command uses (the flag, else the
+    model's): the walk's kernel for a denoising model, None for a plain
+    model's walk, which does not corrupt. `reconstruct` always corrupts."""
     cfg, opts = _resolve(args)
     out = _out_dir(args, subcommand)
     model, header = load_checkpoint(args.checkpoint, with_header=True)
     set_norm_mode(model, opts.bn_mode)
     variance = getattr(args, "corruption_variance", None)
-    cfg = replace(cfg, denoising=model.denoising, corruption=CorruptionSpec(
-        model.corruption_variance if variance is None else variance))
+    corrupts = model.denoising or subcommand == "reconstruct"
+    if variance is not None and not corrupts:
+        raise ContractViolation(
+            f"--corruption-variance: {model.name} is not a denoising model, "
+            f"so its walk does not corrupt")
+    corruption = CorruptionSpec(
+        model.corruption_variance if variance is None else variance)
+    cfg = replace(cfg, denoising=model.denoising,
+                  corruption=corruption if corrupts else None)
     opts = replace(opts, variant=model.name, latent_dim=model.latent_dim,
                    hidden_dims=model.hidden_dims,
                    adversary_dims=model.adversary_dims,
                    precision="single" if model.dtype == np.float32 else "double")
     shape = header.get("data_shape")
-    spec = cfg.corruption if model.denoising else None
-    return cfg, opts, out, model, tuple(shape) if shape else None, spec
+    return cfg, opts, out, model, tuple(shape) if shape else None
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -194,13 +201,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg, opts, out, model, shape, spec = _open(args, "sample")
+    cfg, opts, out, model, shape = _open(args, "sample")
     n = args.n or opts.chains
     _write_manifest(out, "sample", cfg, opts, inputs=[str(args.checkpoint)],
                     outputs=[str(out / "trace.bin")])
     rng = Rng(cfg.seed).derive("sample")
     z0 = sample_prior(n, PriorSpec(model.latent_dim), rng)
-    snaps = _snapshot_steps(model, z0, opts.steps, spec, rng,
+    snaps = _snapshot_steps(model, z0, opts.steps, cfg.corruption, rng,
                             trace_path=out / "trace.bin")
     render_rng = Rng(cfg.seed).derive("render")
     for s, latents in snaps.items():
@@ -215,7 +222,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_interpolate(args) -> int:
-    cfg, opts, out, model, shape, spec = _open(args, "interpolate")
+    cfg, opts, out, model, shape = _open(args, "interpolate")
     _write_manifest(out, "interpolate", cfg, opts,
                     inputs=[str(args.checkpoint)],
                     outputs=[f"grid_step<k> for k in {list(opts.steps)}"])
@@ -228,7 +235,7 @@ def cmd_interpolate(args) -> int:
         model, Tensor(data.samples[list(args.indices)], dtype=model.dtype)).data
     grid = interpolation_grid(corners, args.rows, args.cols)
     rng = Rng(cfg.seed).derive("interpolate")
-    snaps = _snapshot_steps(model, grid, opts.steps, spec, rng)
+    snaps = _snapshot_steps(model, grid, opts.steps, cfg.corruption, rng)
     render_rng = Rng(cfg.seed).derive("render")
     for s, latents in snaps.items():
         decoded = model.chain_decode(latents, render_rng)
@@ -242,7 +249,7 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cfg, opts, out, model, shape, _ = _open(args, "reconstruct")
+    cfg, opts, out, model, shape = _open(args, "reconstruct")
     data = _load_split(opts, cfg.seed, "test")
     n = min(args.n, len(data))
     errors_path = out / "errors.csv"
@@ -272,7 +279,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg, opts, out, model, _, spec = _open(args, "evaluate")
+    cfg, opts, out, model, _ = _open(args, "evaluate")
     data = _load_split(opts, cfg.seed, "test")
     report_path = out / "report.csv"
     _write_manifest(out, "evaluate", cfg, opts,
@@ -285,7 +292,7 @@ def cmd_evaluate(args) -> int:
     z0 = sample_prior(opts.chains, PriorSpec(model.latent_dim), rng)
     # chain_diagnostics reads latents only: keep each step without its batches.
     steps = []
-    trace = run_chain(model, z0, max(opts.steps), spec=spec, rng=rng, keep=(),
+    trace = run_chain(model, z0, max(opts.steps), cfg.corruption, rng, keep=(),
                       sink=lambda step: steps.append(
                           replace(step, x=None, x_tilde=None)))
     trace.steps = steps

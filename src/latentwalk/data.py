@@ -10,16 +10,17 @@ produces every container, so a chain is written step by step as it runs.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import zlib
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .chain import Chain, ChainStep, ChainTrace
+from .chain import ChainStep, ChainTrace, LatentBatch, run_chain
 from .errors import (CheckpointError, ChecksumError, ConfigError,
                      ContractViolation, IdxFormatError, VersionError)
 from .models import VARIANT_NAMES, GenerativeAutoencoder, resolve_variant
@@ -166,16 +167,19 @@ def write_image_grid(path: str | Path, images: np.ndarray, rows: int, cols: int,
 class _ContainerWriter:
     """Streams one container to disk.
 
-    The header lists every tensor's shape, so it and the payload length are
-    written first; each tensor's buffer then goes straight to the file as it
-    arrives, with the CRC carried along, and `close` appends the CRC. A
-    writer left by an exception removes its partial file.
+    The header (the kind, each tensor's name and shape, the kind's metadata)
+    and the payload length are written first; each tensor's buffer then goes
+    straight to the file as it arrives, with the CRC carried along, and
+    `close` appends the CRC. A writer left by an exception removes its file.
     """
 
-    def __init__(self, path: str | Path, header: dict):
+    def __init__(self, path: str | Path, kind: str,
+                 tensors: list[tuple[str, tuple]], metadata: dict):
         self.path = Path(path)
-        self._shapes = [tuple(spec["shape"]) for spec in header["tensors"]]
+        self._shapes = [tuple(shape) for _, shape in tensors]
         payload_len = 8 * sum(int(np.prod(s, dtype=np.int64)) for s in self._shapes)
+        header = {"kind": kind, **metadata, "tensors": [
+            {"name": name, "shape": list(shape)} for name, shape in tensors]}
         head = json.dumps(header, sort_keys=True).encode("utf-8")
         self._crc = 0
         self._written = 0
@@ -222,9 +226,16 @@ class _ContainerWriter:
 _READ_CHUNK = 1 << 20
 
 
-def _read_container(path: str | Path) -> tuple[dict, list[tuple[tuple, int]]]:
-    """The descriptor and each tensor's (shape, file offset), after checking
-    the framing and the payload CRC in one pass over fixed-size chunks."""
+def _read_container(path: str | Path, kind: str
+                    ) -> tuple[dict, dict[str, tuple[tuple, int]]]:
+    """The descriptor of a container of `kind` and {name: (shape, file
+    offset)} of its tensors, in file order; any fault is a CheckpointError.
+
+    The one reader of every container and the one check of its descriptor:
+    a JSON object of `kind` whose `tensors` are objects with unique string
+    names and shapes of non-negative integers, framing a payload of the
+    length they add up to, with its CRC checked in fixed-size chunks.
+    """
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -258,20 +269,27 @@ def _read_container(path: str | Path) -> tuple[dict, list[tuple[tuple, int]]]:
         raise CheckpointError(f"{path}: truncated payload")
     if struct.unpack("<I", trailer)[0] != crc:
         raise ChecksumError(f"{path}: payload checksum mismatch")
-    tensors = []
-    offset = 9 + head_len + 8
-    try:
-        for spec in header.get("tensors", []):
-            shape = tuple(int(d) for d in spec["shape"])
-            tensors.append((shape, offset))
-            offset += 8 * int(np.prod(shape, dtype=np.int64))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: malformed tensor list ({exc})") from None
-    if offset != 9 + head_len + 8 + payload_len:
+    specs = header.get("tensors") if isinstance(header, dict) else None
+    if not isinstance(specs, list) or header.get("kind") != kind:
+        raise CheckpointError(
+            f"{path}: descriptor is not a {kind!r} object with a tensor list")
+    start = offset = 9 + head_len + 8
+    index = {}
+    for spec in specs:
+        name, shape = ((spec.get("name"), spec.get("shape"))
+                       if isinstance(spec, dict) else (None, None))
+        if (not isinstance(name, str) or name in index
+                or not isinstance(shape, list)
+                or not all(type(d) is int and d >= 0 for d in shape)):
+            raise CheckpointError(f"{path}: tensor entry {spec!r} needs a name of "
+                                  f"its own and a list of non-negative sizes")
+        index[name] = (tuple(shape), offset)
+        offset += 8 * math.prod(shape)
+    if offset != start + payload_len:
         raise CheckpointError(
             f"{path}: payload length {payload_len} does not match descriptor "
-            f"({offset - 9 - head_len - 8} bytes expected)")
-    return header, tensors
+            f"({offset - start} bytes expected)")
+    return header, index
 
 
 def _read_tensor(path: str | Path, shape: tuple, offset: int) -> np.ndarray:
@@ -303,13 +321,9 @@ class _ArrayDump(Mapping):
 def save_arrays(path: str | Path, named: dict[str, np.ndarray],
                 extra: dict | None = None) -> None:
     """Dump named float arrays; order preserved, metadata in `extra`."""
-    header = {
-        "kind": "arrays",
-        "tensors": [{"name": k, "shape": list(np.asarray(v).shape)}
-                    for k, v in named.items()],
-        "extra": extra or {},
-    }
-    with _ContainerWriter(path, header) as writer:
+    tensors = [(k, np.shape(v)) for k, v in named.items()]
+    with _ContainerWriter(path, "arrays", tensors,
+                          {"extra": extra or {}}) as writer:
         for v in named.values():
             writer.write(v)
 
@@ -317,57 +331,37 @@ def save_arrays(path: str | Path, named: dict[str, np.ndarray],
 def load_arrays(path: str | Path) -> tuple[Mapping[str, np.ndarray], dict]:
     """Named arrays and metadata of an array dump, CRC checked. The arrays are
     read from the file as they are looked up."""
-    header, tensors = _read_container(path)
-    if header.get("kind") != "arrays":
-        raise CheckpointError(f"{path}: container is not an array dump")
-    index = {spec["name"]: t for spec, t in zip(header["tensors"], tensors)}
+    header, index = _read_container(path, "arrays")
     return _ArrayDump(path, index), header.get("extra", {})
 
 
-class _TraceWriter(_ContainerWriter):
-    """An array dump of a chain: z0, then each step's decoded, corrupted (for
-    denoising chains) and latent batches. Called with each step in order, it
-    is a `run_chain` sink."""
-
-    def __init__(self, path: str | Path, chain: Chain):
-        n, b = chain.z0.values.shape
-        a = int(chain.model.data_dim)
-        denoising = chain.spec is not None
-        tensors = [{"name": "z0", "shape": [n, b]}]
-        for t in range(1, chain.steps + 1):
-            tensors.append({"name": f"step{t:04d}.x", "shape": [n, a]})
-            if denoising:
-                tensors.append({"name": f"step{t:04d}.x_tilde", "shape": [n, a]})
-            tensors.append({"name": f"step{t:04d}.z", "shape": [n, b]})
-        super().__init__(path, {
-            "kind": "arrays",
-            "tensors": tensors,
-            "extra": {"denoising": denoising, "steps": chain.steps},
-        })
-        self._denoising = denoising
-        self._t = 0
-        self.write(chain.z0.values)
-
-    def __call__(self, step: ChainStep) -> None:
-        if step.t != self._t + 1:
-            raise ContractViolation(
-                f"{self.path}: got step {step.t} after step {self._t}")
-        self._t = step.t
-        self.write(step.x)
-        if self._denoising:
-            self.write(step.x_tilde)
-        self.write(step.z.values)
-
-
-def export_trace(chain: Chain, path: str | Path) -> ChainTrace:
-    """Run `chain` and persist it: z0 plus per-step decoded, corrupted (when
-    the chain has a corruption spec) and latent arrays.
+def export_trace(model, z0: LatentBatch, steps: int,
+                 spec: CorruptionSpec | None = None, rng: Rng | None = None,
+                 keep: Iterable[int] | None = None, *,
+                 path: str | Path) -> ChainTrace:
+    """`run_chain(model, z0, steps, spec, rng, keep)`, streamed to the array
+    dump at `path`: z0, then each step's decoded, corrupted (when `spec` is
+    given) and latent batches, with `extra` {"denoising", "steps"}.
 
     The open file is the walk's sink, so each step is written as it is made
-    and only the steps the chain keeps stay in memory. Returns the trace.
+    and only the steps in `keep` stay in memory. Returns the walk's trace.
     """
-    with _TraceWriter(path, chain) as writer:
-        return chain.run(sink=writer)
+    n, b = z0.values.shape
+    parts = ("x", "x_tilde", "z") if spec is not None else ("x", "z")
+    tensors = [("z0", (n, b))] + [
+        (f"step{t:04d}.{part}", (n, b if part == "z" else int(model.data_dim)))
+        for t in range(1, steps + 1) for part in parts]
+    extra = {"denoising": spec is not None, "steps": steps}
+    with _ContainerWriter(path, "arrays", tensors, {"extra": extra}) as writer:
+        writer.write(z0.values)
+
+        def sink(step: ChainStep) -> None:
+            writer.write(step.x)
+            if spec is not None:
+                writer.write(step.x_tilde)
+            writer.write(step.z.values)
+
+        return run_chain(model, z0, steps, spec, rng, keep=keep, sink=sink)
 
 
 # -- checkpoints ---------------------------------------------------------------------
@@ -379,48 +373,36 @@ def save_checkpoint(model: GenerativeAutoencoder, path: str | Path,
     """Write the model (`arch()`, parameters, running stats) plus optional
     training-config echo and source image shape."""
     named = list(model.named_arrays())
-    header = {
-        "kind": "model",
+    with _ContainerWriter(path, "model", [(n, a.shape) for n, a in named], {
         "model": model.arch(),
-        "tensors": [{"name": n, "shape": list(a.shape)} for n, a in named],
         "train_config": asdict(train_config) if train_config else None,
         "data_shape": list(data_shape) if data_shape is not None else None,
-    }
-    with _ContainerWriter(path, header) as writer:
+    }) as writer:
         for _, a in named:
             writer.write(a)
 
 
 def read_checkpoint_header(path: str | Path) -> dict:
-    header, _ = _read_container(path)
-    if header.get("kind") != "model":
-        raise CheckpointError(f"{path}: container is not a model checkpoint")
-    return header
+    return _read_container(path, "model")[0]
 
 
 def load_checkpoint(path: str | Path, with_header: bool = False):
     """Reconstruct the model in its stored dtype (float64 when the header
     names none); every parameter and running stat is bit-exact. With
     `with_header`, returns (model, header) from the one read of the file."""
-    header, tensors = _read_container(path)
-    if header.get("kind") != "model":
-        raise CheckpointError(f"{path}: container is not a model checkpoint")
+    header, index = _read_container(path, "model")
     try:
         model = GenerativeAutoencoder(**header["model"])
     except (KeyError, TypeError, ContractViolation) as exc:
         raise CheckpointError(f"{path}: malformed model descriptor ({exc})") from None
     named = list(model.named_arrays())
-    specs = header.get("tensors", [])
-    if len(named) != len(specs):
-        raise CheckpointError(
-            f"{path}: descriptor lists {len(specs)} tensors, "
-            f"model expects {len(named)}")
-    for (name, target), spec, tensor in zip(named, specs, tensors):
-        if spec["name"] != name or tuple(spec["shape"]) != target.shape:
-            raise CheckpointError(
-                f"{path}: tensor {spec['name']} does not match "
-                f"expected {name} with shape {target.shape}")
-        target[...] = _read_tensor(path, *tensor)
+    listed = [(name, shape) for name, (shape, _) in index.items()]
+    expected = [(name, a.shape) for name, a in named]
+    if listed != expected:
+        raise CheckpointError(f"{path}: descriptor lists tensors {listed}, "
+                              f"the model expects {expected}")
+    for name, target in named:
+        target[...] = _read_tensor(path, *index[name])
     return (model, header) if with_header else model
 
 
@@ -447,36 +429,27 @@ class RunOptions:
     precision: str = "double"
 
 
-def _parse_int(v: str) -> int:
-    return int(v, 10)
+def _parse_number(cast, low=-math.inf, high=math.inf, low_open=False):
+    """A parser of one finite `cast` value v with low <= v < high, or with
+    low < v < high when `low_open`."""
+    bounds = " and ".join(f"{op} {limit}" for op, limit in
+                          ((">" if low_open else ">=", low), ("<", high))
+                          if math.isfinite(limit))
+
+    def parse(v: str):
+        out = cast(v)
+        if cast is float and not math.isfinite(out):
+            raise ValueError("non-finite value")
+        if out < low or (low_open and out == low) or out >= high:
+            raise ValueError(f"must be {bounds}")
+        return out
+    return parse
 
 
-def _parse_float(v: str) -> float:
-    out = float(v)
-    if not np.isfinite(out):
-        raise ValueError("non-finite value")
-    return out
-
-
-def _parse_count(v: str) -> int:
-    out = int(v, 10)
-    if out < 1:
-        raise ValueError("must be >= 1")
-    return out
-
-
-def _parse_variance(v: str) -> float:
-    out = _parse_float(v)
-    if out < 0:
-        raise ValueError("must be >= 0")
-    return out
-
-
-def _parse_positive(v: str) -> float:
-    out = _parse_float(v)
-    if out <= 0:
-        raise ValueError("must be > 0")
-    return out
+_parse_count = _parse_number(int, 1)
+_parse_variance = _parse_number(float, 0)
+_parse_positive = _parse_number(float, 0, low_open=True)
+_parse_decay = _parse_number(float, 0, 1)
 
 
 def _parse_int_list(v: str, low: int = 0) -> tuple[int, ...]:
@@ -502,11 +475,11 @@ _CONFIG_KEYS = {
     # training objective
     "epochs": _parse_count,
     "batch_size": _parse_count,
-    "alpha": _parse_float,
-    "beta1": _parse_float,
-    "beta2": _parse_float,
-    "epsilon": _parse_float,
-    "seed": _parse_int,
+    "alpha": _parse_positive,
+    "beta1": _parse_decay,
+    "beta2": _parse_decay,
+    "epsilon": _parse_positive,
+    "seed": _parse_number(int),
     "corruption_variance": _parse_variance,
     "reconstruction_loss": _parse_choice(RECONSTRUCTION_LOSSES),
     # run options

@@ -159,7 +159,8 @@ def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
 
     `state` (from `init_train_state`) carries the optimizers and the shuffle
     and noise stream from one epoch to the next.
-    Denoising variants encode corrupt(x) but reconstruct against the clean x.
+    Denoising variants encode corrupt(x), at the model's corruption variance,
+    which `cfg` must match, but reconstruct against the clean x.
     A partial trailing batch is dropped so every update sees batch_size rows.
     """
     samples = np.asarray(getattr(dataset, "samples", dataset), dtype=np.float64)
@@ -169,6 +170,10 @@ def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
         raise ContractViolation(
             f"model denoising={model.denoising} but config denoising={cfg.denoising}"
         )
+    if model.denoising and model.corruption_variance != cfg.corruption.variance:
+        raise ContractViolation(
+            f"model corruption variance {model.corruption_variance} but config "
+            f"corruption variance {cfg.corruption.variance}")
     n = samples.shape[0]
     if cfg.batch_size > n:
         raise ContractViolation(f"batch_size {cfg.batch_size} exceeds dataset size {n}")

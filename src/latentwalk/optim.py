@@ -33,6 +33,12 @@ class Adam:
     def __post_init__(self):
         if not self.params:
             raise ContractViolation("Adam needs at least one parameter")
+        if not (0 < self.alpha < np.inf and 0 <= self.beta1 < 1
+                and 0 <= self.beta2 < 1 and 0 < self.epsilon < np.inf):
+            raise ContractViolation(
+                f"Adam needs finite alpha > 0 (got {self.alpha}), beta1 and "
+                f"beta2 in [0, 1) (got {self.beta1}, {self.beta2}) and finite "
+                f"epsilon > 0 (got {self.epsilon})")
         if len({p.data.dtype for p in self.params}) != 1:
             raise ContractViolation("Adam parameters must share one dtype")
         ends = np.cumsum([p.data.size for p in self.params]).tolist()

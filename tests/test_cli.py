@@ -131,15 +131,27 @@ def test_a_walk_reads_its_checkpoint_once(tmp_path, monkeypatch):
     reads = []
     read_container = data_module._read_container
 
-    def counted(path):
+    def counted(path, kind):
         reads.append(path)
-        return read_container(path)
+        return read_container(path, kind)
 
     monkeypatch.setattr(data_module, "_read_container", counted)
     code = main(["sample", "--checkpoint", str(ckpt), "--seed", "4", "--n", "4",
                  "--steps", "0,1", "--out", str(tmp_path / "out")])
     assert code == 0
     assert reads == [str(ckpt)]
+
+
+def test_sample_on_a_descriptor_that_is_not_an_object_exits_one(tmp_path,
+                                                                 capsys):
+    ckpt = tmp_path / "list.ckpt"
+    head = b"[]"
+    ckpt.write_bytes(b"GAEC" + bytes([1]) + struct.pack("<I", len(head)) + head
+                     + struct.pack("<Q", 0) + struct.pack("<I", 0))
+    code = main(["sample", "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_sample_holds_a_few_steps_not_the_walk(tmp_path):
@@ -361,6 +373,28 @@ def test_bad_config_file_returns_one(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_a_plain_walk_takes_and_records_no_corruption(tmp_path, fast_cfg,
+                                                      capsys):
+    """A plain model's walk does not corrupt: `sample` refuses the flag and
+    walk manifests record no corruption. `reconstruct` always corrupts and
+    records the variance it used."""
+    ckpt = str(_train(tmp_path, fast_cfg) / "model.ckpt")
+    assert main(["sample", "--checkpoint", ckpt, "--config", fast_cfg,
+                 "--corruption-variance", "0.5",
+                 "--out", str(tmp_path / "refused")]) == 1
+    assert "--corruption-variance" in capsys.readouterr().err
+    for sub, flags, corruption in (
+            ("sample", [], None), ("evaluate", [], None),
+            ("interpolate", [], None), ("reconstruct", [], {"variance": 0.25}),
+            ("reconstruct", ["--corruption-variance", "0.5"],
+             {"variance": 0.5})):
+        out = tmp_path / f"{sub}-{len(flags)}"
+        assert main([sub, "--checkpoint", ckpt, "--config", fast_cfg,
+                     "--out", str(out), *flags]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["train"]["corruption"] == corruption, sub
+
+
 @pytest.mark.parametrize("key,value,why", [
     ("steps", "-1,2", "must be >= 0"),
     ("variant", "gan", "must be one of"),
@@ -378,6 +412,14 @@ def test_bad_config_file_returns_one(tmp_path, capsys):
     ("mixture_std", "0", "must be > 0"),
     ("mixture_std", "-0.5", "must be > 0"),
     ("mixture_radius", "-1", "must be >= 0"),
+    ("alpha", "0", "must be > 0"),
+    ("alpha", "-1", "must be > 0"),
+    ("alpha", "inf", "non-finite"),
+    ("beta1", "1", "must be >= 0 and < 1"),
+    ("beta1", "2", "must be >= 0 and < 1"),
+    ("beta2", "1", "must be >= 0 and < 1"),
+    ("beta2", "-0.5", "must be >= 0 and < 1"),
+    ("epsilon", "0", "must be > 0"),
 ])
 def test_flag_and_config_key_reject_the_same_values(tmp_path, capsys, key,
                                                      value, why):

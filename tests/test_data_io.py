@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from latentwalk import (Chain, CheckpointError, ChecksumError, ConfigError,
+from latentwalk import (CheckpointError, ChecksumError, ConfigError,
                         ContractViolation, CorruptionSpec, Dataset,
                         GenerativeAutoencoder, IdxFormatError, LatentBatch,
                         Rng, RunOptions, TrainConfig, VersionError,
@@ -306,8 +306,7 @@ def test_export_trace_layout(tmp_path, tiny_vae):
     z0 = sample_prior(6, tiny_vae.prior, Rng(3))
     for spec in (None, CorruptionSpec(0.1)):
         path = tmp_path / "trace.bin"
-        trace = export_trace(Chain(tiny_vae, z0, 2, spec=spec, rng=Rng(4)),
-                             path)
+        trace = export_trace(tiny_vae, z0, 2, spec=spec, rng=Rng(4), path=path)
         arrays, extra = load_arrays(path)
         # steps are numbered from 1, matching their chain(t) provenance
         names = {"z0", "step0001.x", "step0001.z", "step0002.x", "step0002.z"}
@@ -325,8 +324,8 @@ def test_export_trace_streams_a_chain_as_a_finished_trace(tmp_path, tiny_vae,
     spec = CorruptionSpec(0.1)
     save_whole_walk(run_chain(tiny_vae, z0, steps=5, spec=spec, rng=Rng(4)),
                     tmp_path / "whole.bin", denoising=True)
-    trace = export_trace(Chain(tiny_vae, z0, 5, spec=spec, rng=Rng(4),
-                               keep=(5,)), tmp_path / "streamed.bin")
+    trace = export_trace(tiny_vae, z0, 5, spec=spec, rng=Rng(4), keep=(5,),
+                         path=tmp_path / "streamed.bin")
     assert ((tmp_path / "streamed.bin").read_bytes()
             == (tmp_path / "whole.bin").read_bytes())
     assert [step.t for step in trace.steps] == [5]
@@ -357,7 +356,7 @@ def test_chain_failing_mid_walk_leaves_no_readable_trace(tmp_path, tiny_vae):
     model = _FailsAtDecode(tiny_vae, fail_at=3)
     z0 = sample_prior(4, tiny_vae.prior, Rng(7))
     with pytest.raises(ContractViolation):
-        export_trace(Chain(model, z0, 5, rng=Rng(8)), path)
+        export_trace(model, z0, 5, rng=Rng(8), path=path)
     assert model.decodes == 3
     if path.exists():
         with pytest.raises(CheckpointError):
@@ -375,11 +374,38 @@ def test_container_rejects_truncated_payload(tmp_path):
 def test_save_arrays_refuses_to_write_past_its_header(tmp_path):
     from latentwalk.data import _ContainerWriter
     path = tmp_path / "dump.bin"
-    header = {"kind": "arrays", "tensors": [{"name": "x", "shape": [2]}]}
     with pytest.raises(ContractViolation):
-        with _ContainerWriter(path, header) as writer:
+        with _ContainerWriter(path, "arrays", [("x", (2,))], {}) as writer:
             writer.write(np.ones(3))
     assert not path.exists()
+
+
+def _write_container(path, descriptor, payload):
+    """A container around any JSON descriptor, with true framing and CRC."""
+    head = json.dumps(descriptor).encode()
+    path.write_bytes(b"GAEC" + bytes([1]) + struct.pack("<I", len(head)) + head
+                     + struct.pack("<Q", len(payload)) + payload
+                     + struct.pack("<I", zlib.crc32(payload)))
+
+
+@pytest.mark.parametrize("descriptor,payload", [
+    ([], b""),
+    ({"kind": "arrays", "tensors": [{"shape": [1]}]}, bytes(8)),
+    ({"kind": "arrays", "tensors": [{"name": "x", "shape": [-1, -1]}]},
+     bytes(8)),
+    ({"kind": "arrays", "tensors": [{"name": "x", "shape": [1]},
+                                    {"name": "x", "shape": [1]}]}, bytes(16)),
+], ids=["not-an-object", "nameless-tensor", "negative-dimension",
+        "duplicate-name"])
+def test_container_rejects_a_malformed_descriptor(tmp_path, descriptor,
+                                                  payload):
+    """Every reader refuses a descriptor that frames a payload of the right
+    length but does not name each tensor once with a real shape."""
+    path = tmp_path / "dump.bin"
+    _write_container(path, descriptor, payload)
+    for read in (load_arrays, load_checkpoint, read_checkpoint_header):
+        with pytest.raises(CheckpointError):
+            read(path)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,17 @@ def test_adam_missing_grad_rejected():
         Adam([p], alpha=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8).step()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("alpha", 0.0), ("alpha", -1.0), ("alpha", np.inf), ("beta1", 1.0),
+    ("beta1", 2.0), ("beta1", -0.1), ("beta2", 1.0), ("epsilon", 0.0),
+    ("epsilon", np.nan)])
+def test_adam_rejects_settings_out_of_range(key, value):
+    """alpha and epsilon must be finite and > 0, beta1 and beta2 in [0, 1)."""
+    p = Tensor(np.array([1.0]), requires_grad=True)
+    with pytest.raises(ContractViolation):
+        Adam([p], **{key: value})
+
+
 def test_failed_adam_step_changes_nothing():
     """A step that rejects one parameter's gradient leaves every parameter,
     moment and the step count as they were: the next good step equals a

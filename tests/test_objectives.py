@@ -277,6 +277,18 @@ def test_denoising_flag_must_match_model(tiny_vae, tiny_dataset):
         train_model(tiny_vae, tiny_dataset, cfg)
 
 
+def test_denoising_corruption_must_match_model(tiny_dataset):
+    """A denoising model trains and walks at its own corruption variance, so
+    a config with another one is refused rather than silently overruled."""
+    model = GenerativeAutoencoder("vae", 2, 2, hidden_dims=(8, 8),
+                                  denoising=True, corruption_variance=0.25,
+                                  init_seed=0)
+    cfg = TrainConfig(epochs=1, batch_size=32, denoising=True,
+                      corruption=CorruptionSpec(0.5))
+    with pytest.raises(ContractViolation, match="corruption variance"):
+        train_model(model, tiny_dataset, cfg)
+
+
 def test_denoising_training_runs(tiny_dataset):
     model = GenerativeAutoencoder("vae", 2, 2, hidden_dims=(8, 8),
                                   denoising=True, init_seed=0)

@@ -32,15 +32,21 @@ def test_traced_train_and_sample_count_no_errors(tmp_path):
     (tmp_path / "small.cfg").write_text(
         "train_size = 128\ntest_size = 64\nepochs = 1\nbatch_size = 32\n"
         "chains = 16\nsteps = 0,1\n")
-    calls = {"train": ["train", "--variant", "daae", "--config", "small.cfg",
-                       "--seed", "1", "--out", "train"],
-             "sample": ["sample", "--checkpoint", "train/model.ckpt",
-                        "--config", "small.cfg", "--seed", "1",
-                        "--out", "sample"]}
-    for name, argv in calls.items():
+    # Each call, the one data writer it runs and the file that writer leaves.
+    calls = {"train": (["train", "--variant", "daae", "--config", "small.cfg",
+                        "--seed", "1", "--out", "train"],
+                       "data.save_checkpoint", "train/model.ckpt"),
+             "sample": (["sample", "--checkpoint", "train/model.ckpt",
+                         "--config", "small.cfg", "--seed", "1",
+                         "--out", "sample"],
+                        "data.export_trace", "sample/trace.bin")}
+    for name, (argv, writer, written) in calls.items():
         proc = _run([str(BENCH / "traced_cli.py"), f"{name}.json", *argv],
                     cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         summary = json.loads((tmp_path / f"{name}.json").read_text())
         assert not any(summary["errors"].values()), summary["errors"]
         assert summary["spans"][f"cli.{name}"]["calls"] == 1
+        assert summary["spans"][writer]["calls"] == 1
+        assert (summary["counts"]["data.bytes_written"]
+                == (tmp_path / written).stat().st_size)
