@@ -13,7 +13,6 @@ the closed-form linear-Gaussian verifier plugs in.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -27,10 +26,6 @@ from .rng import Rng
 
 _ANGLE_TOL = 1e-6
 _CHAIN_RE = re.compile(r"^chain\((\d+)\)$")
-# The fewest rows in a chunk of a chunked walk (see `run_chain`). Chunking
-# depends only on the row count and this constant, never on the CPU count, so
-# neither do the bytes of a walk.
-_CHUNK_ROWS = 16_384
 
 
 @dataclass
@@ -183,8 +178,7 @@ def denoising_transition_step(model, z_t: LatentBatch, spec: CorruptionSpec,
 def run_chain(model, z0: LatentBatch, steps: int,
               spec: CorruptionSpec | None = None, rng: Rng | None = None,
               keep: Iterable[int] | None = None,
-              sink: Callable[[ChainStep], None] | None = None,
-              _workers: int | None = None) -> ChainTrace:
+              sink: Callable[[ChainStep], None] | None = None) -> ChainTrace:
     """Run `steps` transitions from z0: the plain kernel when `spec` is None,
     the denoising kernel with corruption `spec` otherwise.
 
@@ -192,89 +186,19 @@ def run_chain(model, z0: LatentBatch, steps: int,
     None); `sink`, when given, is called with each step as it is made, so a
     caller can consume a walk without holding it. Model parameters are
     read-only throughout; steps=0 returns an empty trace that still carries z0.
-
-    A model whose `row_independent` attribute is true declares that each row's
-    transition ignores the other rows of its batch. Without a sink, such a
-    walk of at least `2 * _CHUNK_ROWS` rows runs near-equal chunks of at
-    least `_CHUNK_ROWS` rows on a pool of threads, one per core
-    (`_walk_chunks`). Its bytes are the whole-batch walk's as far as the BLAS
-    computes a row of a product alike in any block of at least `_CHUNK_ROWS`
-    rows. `_workers` overrides the number of threads; tests use it.
     """
     if steps < 0:
         raise ContractViolation(f"steps must be >= 0, got {steps}")
     if rng is None:
         raise ContractViolation("run_chain needs an rng")
     kept = None if keep is None else frozenset(keep)
-    if (sink is None and getattr(model, "row_independent", False)
-            and len(z0) >= 2 * _CHUNK_ROWS):
-        return ChainTrace(z0, _walk_chunks(model, z0, steps, spec, rng, kept,
-                                           _workers))
-    return ChainTrace(z0, _walk(model, z0, steps, spec, rng, kept, sink))
-
-
-def _walk(model, z: LatentBatch, steps: int, spec: CorruptionSpec | None,
-          rng: Rng, kept: frozenset | None,
-          sink: Callable[[ChainStep], None] | None = None) -> list[ChainStep]:
-    """The chain loop: the steps named in `kept` (all when None), each also
-    handed to `sink` as it is made."""
-    out = []
+    trace = ChainTrace(z0)
+    z = z0
     for t in range(1, steps + 1):
         x, x_tilde, z = _transition(model, z, spec, rng)
         step = ChainStep(x=x, x_tilde=x_tilde, z=z, t=t)
         if sink is not None:
             sink(step)
         if kept is None or t in kept:
-            out.append(step)
-    return out
-
-
-def _walk_chunks(model, z0: LatentBatch, steps: int,
-                 spec: CorruptionSpec | None, rng: Rng, kept: frozenset | None,
-                 workers: int | None) -> list[ChainStep]:
-    """`_walk` over near-equal row chunks of z0, stitched row-wise.
-
-    n rows make k = n // `_CHUNK_ROWS` chunks, chunk i holding rows
-    i * n // k to (i + 1) * n // k, so no chunk is shorter than `_CHUNK_ROWS`.
-    Each chunk draws through its own row window of `rng`, so it gets exactly
-    its rows of the whole batch's draws, and `rng` ends where a whole-batch
-    walk leaves it. The chunks depend only on the row count, not on the
-    number of threads: `workers`, or the CPU count (NumPy releases the GIL
-    inside a chunk's ufuncs and products). What a chunk raises propagates,
-    with `rng` untouched, once every thread is joined.
-    """
-    n = len(z0)
-    k = n // _CHUNK_ROWS
-    bounds = [i * n // k for i in range(k + 1)]
-
-    def walk(lo: int, hi: int) -> tuple[list[ChainStep], int]:
-        window = rng.window(n, lo, hi)
-        chunk = LatentBatch(z0.values[lo:hi], provenance=z0.provenance)
-        return _walk(model, chunk, steps, spec, window, kept), window.counter
-
-    if workers is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=min(workers, k)) as pool:
-        parts = list(pool.map(walk, bounds[:-1], bounds[1:]))
-    counters = {counter for _, counter in parts}
-    if len(counters) != 1:
-        raise ContractViolation(
-            "chunks of a row-independent walk consumed different numbers of "
-            "draws; the model's draws depend on its rows")
-    rng.counter = counters.pop()
-
-    def stitch(rows: list[Optional[np.ndarray]]) -> Optional[np.ndarray]:
-        return None if rows[0] is None else np.concatenate(rows)
-
-    stitched = []
-    for chunk_steps in zip(*(chunk for chunk, _ in parts)):
-        first = chunk_steps[0]
-        z = LatentBatch(stitch([s.z.values for s in chunk_steps]),
-                        provenance=first.z.provenance)
-        stitched.append(ChainStep(x=stitch([s.x for s in chunk_steps]),
-                                  x_tilde=stitch([s.x_tilde for s in chunk_steps]),
-                                  z=z, t=first.t))
-    return stitched
-
+            trace.steps.append(step)
+    return trace

@@ -22,9 +22,9 @@ import numpy as np
 
 from .chain import LatentBatch, interpolation_grid, run_chain, sample_prior
 from .data import (_CONFIG_KEYS, Dataset, RunOptions, _parse_count,
-                   _parse_int_list, _parse_positive, export_trace,
-                   gen_gaussian_mixture, load_checkpoint, load_idx,
-                   parse_config, save_checkpoint, write_image_grid)
+                   _parse_int_list, _parse_number, _parse_positive,
+                   export_trace, gen_gaussian_mixture, load_checkpoint,
+                   load_idx, parse_config, save_checkpoint, write_image_grid)
 from .errors import ContractViolation, LatentWalkError
 from .metrics import chain_diagnostics, write_report
 from .models import (GenerativeAutoencoder, PriorSpec, encode_mean,
@@ -66,7 +66,11 @@ def _resolve(args) -> tuple[TrainConfig, RunOptions]:
 
 def _out_dir(args, default: str) -> Path:
     out = Path(args.out) if getattr(args, "out", None) else Path("runs") / default
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise LatentWalkError(f"{out}: cannot create output directory "
+                              f"({exc.strerror or exc})") from None
     return out
 
 
@@ -371,8 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_interp = walk("interpolate", "slerp grid, optionally refined")
     p_interp.add_argument("--indices", type=_indices_arg, default=(0, 1, 2, 3),
                           help="four test-item corner indices")
-    p_interp.add_argument("--rows", type=int, default=8)
-    p_interp.add_argument("--cols", type=int, default=8)
+    side = _flag_type(_parse_number(int, 2))
+    p_interp.add_argument("--rows", type=side, default=8)
+    p_interp.add_argument("--cols", type=side, default=8)
     key(p_interp, "steps")
 
     p_recon = walk("reconstruct", "denoise corrupted test items")

@@ -22,7 +22,8 @@ import numpy as np
 
 from .chain import ChainStep, ChainTrace, LatentBatch, run_chain
 from .errors import (CheckpointError, ChecksumError, ConfigError,
-                     ContractViolation, IdxFormatError, VersionError)
+                     ContractViolation, IdxFormatError, LatentWalkError,
+                     VersionError)
 from .models import VARIANT_NAMES, GenerativeAutoencoder, resolve_variant
 from .objectives import (RECONSTRUCTION_LOSSES, CorruptionSpec, TrainConfig)
 from .rng import Rng
@@ -91,7 +92,11 @@ def gen_gaussian_mixture(n: int, k: int = 8, radius: float = 1.0,
 def load_idx(path: str | Path) -> Dataset:
     """Parse a big-endian IDX file of unsigned bytes into rows scaled to [0,1]."""
     path = Path(path)
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise LatentWalkError(f"{path}: cannot read IDX file "
+                              f"({exc.strerror or exc})") from None
     if len(blob) < 4:
         raise IdxFormatError("file too short for a magic number", 0)
     if blob[0] != 0 or blob[1] != 0:
@@ -234,7 +239,10 @@ def _read_container(path: str | Path, kind: str
     The one reader of every container and the one check of its descriptor:
     a JSON object of `kind` whose `tensors` are objects with unique string
     names and shapes of non-negative integers, framing a payload of the
-    length they add up to, with its CRC checked in fixed-size chunks.
+    length they add up to, with its CRC checked in fixed-size chunks. An
+    array dump's `extra` is an object; a model's `model` is an object, its
+    `train_config` an object or null and its `data_shape` null or two
+    positive sizes.
     """
     try:
         fh = open(path, "rb")
@@ -273,6 +281,14 @@ def _read_container(path: str | Path, kind: str
     if not isinstance(specs, list) or header.get("kind") != kind:
         raise CheckpointError(
             f"{path}: descriptor is not a {kind!r} object with a tensor list")
+    shape = header.get("data_shape")
+    if not (isinstance(header.get("extra", {}), dict) if kind == "arrays" else
+            isinstance(header.get("model"), dict)
+            and isinstance(header.get("train_config"), (dict, type(None)))
+            and (shape is None or isinstance(shape, list) and len(shape) == 2
+                 and all(type(d) is int and d > 0 for d in shape))):
+        raise CheckpointError(f"{path}: descriptor's {kind} metadata has the "
+                              f"wrong types")
     start = offset = 9 + head_len + 8
     index = {}
     for spec in specs:
@@ -393,7 +409,7 @@ def load_checkpoint(path: str | Path, with_header: bool = False):
     header, index = _read_container(path, "model")
     try:
         model = GenerativeAutoencoder(**header["model"])
-    except (KeyError, TypeError, ContractViolation) as exc:
+    except (TypeError, ContractViolation) as exc:
         raise CheckpointError(f"{path}: malformed model descriptor ({exc})") from None
     named = list(model.named_arrays())
     listed = [(name, shape) for name, (shape, _) in index.items()]

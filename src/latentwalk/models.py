@@ -82,10 +82,6 @@ class GenerativeAutoencoder:
     builds: float64, or float32 as a training-speed switch (dtype or name).
     """
 
-    # Train-mode batch norm couples the rows of a batch, so `run_chain` walks
-    # them together.
-    row_independent = False
-
     def __init__(self, variant: str, data_dim: int, latent_dim: int,
                  hidden_dims: tuple[int, ...] = (64, 64),
                  adversary_dims: tuple[int, ...] = (64, 64),

@@ -15,11 +15,14 @@ another simulation.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import LatentBatch, run_chain
 from .errors import ContractViolation, DivergenceError
+from .objectives import CorruptionSpec
 from .rng import Rng
 
 # Each doubling squares the contraction; a contractive system converges long
@@ -27,6 +30,8 @@ from .rng import Rng
 _MAX_DOUBLINGS = 64
 # Any stationary covariance this large means the map is not a contraction.
 _GROWTH_CAP = 1e12
+# The fewest chains in a group of check 4's walk (see `_final_latents`).
+_GROUP_CHAINS = 16_384
 
 
 class OracleSystem:
@@ -158,11 +163,8 @@ class OracleModelAdapter:
 
     chain_decode applies the decoder mean plus decoder noise; corruption is
     *not* applied here — the denoising kernel owns it, exactly as for real
-    models. Each row's transition is its own, so `run_chain` may walk the
-    rows in chunks.
+    models.
     """
-
-    row_independent = True
 
     def __init__(self, sys: OracleSystem):
         self.system = sys
@@ -201,6 +203,38 @@ def random_contractive_system(rng: Rng, latent_dim: int, data_dim: int,
                                 decoder_noise_variance, corruption_variance)
 
 
+def _cpu_count() -> int:
+    """The number of cores this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
+def _final_latents(sys: OracleSystem, n_chains: int, steps: int,
+                   rng: Rng) -> np.ndarray:
+    """Latents of `n_chains` independent chains of `sys` after `steps` plain
+    transitions from prior draws, walked in k = max(1, n_chains //
+    `_GROUP_CHAINS`) groups on up to one thread per core (NumPy releases the
+    GIL in a group's products and ufuncs). Group i holds chains
+    i * n_chains // k to (i + 1) * n_chains // k and draws from
+    ``rng.derive(f"chains{i}")``, so no value depends on the core count. A
+    group's exception propagates once every thread is joined."""
+    # Imported here, as no other call of the package starts threads.
+    from concurrent.futures import ThreadPoolExecutor
+
+    k = max(1, n_chains // _GROUP_CHAINS)
+    bounds = [i * n_chains // k for i in range(k + 1)]
+
+    def walk(i: int) -> np.ndarray:
+        g = rng.derive(f"chains{i}")
+        z0 = LatentBatch(g.normal((bounds[i + 1] - bounds[i], sys.latent_dim)))
+        trace = run_chain(OracleModelAdapter(sys), z0, steps, rng=g,
+                          keep=(steps,))
+        return trace.steps[-1].z.values
+
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), k)) as pool:
+        return np.concatenate(list(pool.map(walk, range(k))))
+
+
 @dataclass
 class CheckResult:
     """One row of the verification table."""
@@ -222,9 +256,6 @@ def run_oracle_suite(seed: int = 0, radius: float = 0.5, n_chains: int = 10_000,
     injecting radius >= 1 makes the stationary solve diverge, which the suite
     reports as a failure.
     """
-    from .chain import LatentBatch, run_chain
-    from .objectives import CorruptionSpec
-
     if not np.isfinite(radius):
         raise ContractViolation(f"spectral radius must be finite, got {radius}")
     results: list[CheckResult] = []
@@ -269,13 +300,11 @@ def run_oracle_suite(seed: int = 0, radius: float = 0.5, n_chains: int = 10_000,
                                f"worst residual {worst:.3e} over 10 systems"))
 
     # 4. Sampled chains reach the analytic stationary covariance. run_chain on
-    # the adapter draws exactly as oracle_sample_chain does (check 6), and
-    # keeps only the final step.
+    # the adapter draws exactly as oracle_sample_chain does (check 6).
     try:
         sigma = solve_stationary_cov(base, tol=1e-12)
-        z0 = LatentBatch(rng.normal((n_chains, b)))
-        trace = run_chain(OracleModelAdapter(base), z0, 200, rng=rng, keep=(200,))
-        emp = np.cov(trace.steps[-1].z.values, rowvar=False, bias=True)
+        emp = np.cov(_final_latents(base, n_chains, 200, rng), rowvar=False,
+                     bias=True)
         rel = _rel_frobenius(emp, sigma)
         results.append(CheckResult("sampled-covariance", rel < tol_cov,
                                    f"relative Frobenius error {rel:.4f} "

@@ -9,10 +9,6 @@ changing the sequence.
 Draws are made in place, in fixed blocks of `_BLOCK` values, so the working
 set stays in cache however large the request. A value depends only on
 (seed, counter), never on the block size.
-
-Because a value is addressed by its index, a row window (`Rng.window`) can
-draw any rows of a batch draw without making the others: independent chunks
-of rows can be walked apart, in any order, with the whole batch's values.
 """
 
 from __future__ import annotations
@@ -51,38 +47,6 @@ class Rng:
     def __init__(self, seed: int, counter: int = 0):
         self.seed = np.uint64(seed & _MASK)
         self.counter = int(counter)
-        self._rows: tuple[int, int, int] | None = None  # set by `window`
-
-    def window(self, n: int, lo: int, hi: int) -> "Rng":
-        """A generator at this one's counter that draws rows lo:hi of n-row
-        draws.
-
-        A draw of shape (hi - lo, ...) from it equals rows lo:hi of the
-        (n, ...) draw this generator would make, and advances its counter as
-        that draw would; a draw of any other leading dimension raises. This
-        generator is not advanced.
-        """
-        if not 0 <= lo < hi <= n:
-            raise ContractViolation(
-                f"row window [{lo}, {hi}) does not lie in [0, {n})")
-        w = Rng(int(self.seed), self.counter)
-        w._rows = (n, lo, hi)
-        return w
-
-    def _extent(self, shape) -> tuple[tuple, int, int, int]:
-        """`shape` as a tuple; the number of values of the draw the counter
-        advances over; the offset and the number of the values returned."""
-        shape = (shape,) if isinstance(shape, int) else tuple(shape)
-        size = int(np.prod(shape)) if shape else 1
-        if self._rows is None:
-            return shape, size, 0, size
-        n, lo, hi = self._rows
-        if not shape or shape[0] != hi - lo:
-            raise ContractViolation(
-                f"a draw through row window [{lo}, {hi}) of {n} rows needs "
-                f"leading dimension {hi - lo}, got shape {shape}")
-        row = size // (hi - lo)
-        return shape, n * row, lo * row, size
 
     def _reserve(self, n: int, size: int):
         """Consume the next n raw draws. Returns ``fill(out, i)``, which
@@ -108,34 +72,35 @@ class Rng:
 
     def uniform(self, shape=()) -> np.ndarray:
         """Uniform draws in [0, 1), float64, of the given shape."""
-        shape, total, first, n = self._extent(shape)
-        fill = self._reserve(total, n)
-        u = np.empty(n)
-        for i in range(0, n, _BLOCK):
-            fill(u[i:i + _BLOCK], first + i)
-        return u.reshape(shape) if shape else u[0]
+        u = np.empty(shape)
+        fill = self._reserve(u.size, u.size)
+        flat = u.reshape(-1)
+        for i in range(0, u.size, _BLOCK):
+            fill(flat[i:i + _BLOCK], i)
+        return u if u.ndim else u[()]
 
     def normal(self, shape=()) -> np.ndarray:
         """Standard normal draws via the Box-Muller transform: value j is
         ``sqrt(-2 log(1 - u1)) * cos(2 pi u2)`` with u1 the (j+1)-th and u2 the
         (n+j+1)-th uniform of the 2n drawn."""
-        shape, total, first, n = self._extent(shape)
-        fill = self._reserve(2 * total, n)
-        z = np.empty(n)
+        z = np.empty(shape)
+        n = z.size
+        fill = self._reserve(2 * n, n)
+        flat = z.reshape(-1)
         radius = np.empty(min(n, _BLOCK))
         for i in range(0, n, _BLOCK):
-            out = z[i:i + _BLOCK]
+            out = flat[i:i + _BLOCK]
             r = radius[:len(out)]
-            fill(r, first + i)
+            fill(r, i)
             np.subtract(1.0, r, out=r)  # (0, 1]
             np.log(r, out=r)
             r *= -2.0
             np.sqrt(r, out=r)
-            fill(out, total + first + i)
+            fill(out, n + i)
             out *= 2.0 * np.pi
             np.cos(out, out=out)
             out *= r
-        return z.reshape(shape) if shape else z[0]
+        return z if z.ndim else z[()]
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         """Uniform integers in [low, high)."""

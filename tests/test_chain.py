@@ -1,7 +1,6 @@
 """Latent-space walk mechanics: prior draws, transitions, traces, slerp."""
 
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -9,13 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentwalk import (ContractViolation, CorruptionSpec,
-                        DegenerateGeometryError, DomainError,
-                        GenerativeAutoencoder, LatentBatch, OracleModelAdapter,
-                        OracleSystem, PriorSpec, Rng,
+                        DegenerateGeometryError, LatentBatch, PriorSpec, Rng,
                         denoising_transition_step, interpolation_grid,
-                        random_contractive_system, run_chain, sample_prior,
-                        slerp, transition_step)
-from latentwalk import chain as chain_module
+                        run_chain, sample_prior, slerp, transition_step)
 from latentwalk.chain import ChainTrace
 
 
@@ -258,98 +253,3 @@ def test_trace_defaults():
     z0 = LatentBatch(np.zeros((2, 2)))
     trace = ChainTrace(z0)
     assert trace.steps == []
-
-
-# ---------------------------------------------------------------------------
-# chunked walks of row-independent models
-
-def _identity_encoder_system():
-    d = Rng(40).normal((3, 3))
-    d *= 0.7 / max(abs(np.linalg.eigvals(d)))
-    return OracleSystem(np.eye(3), d, decoder_noise_variance=0.5,
-                        corruption_variance=0.25)
-
-
-def _rectangular_system():
-    return random_contractive_system(Rng(41), latent_dim=2, data_dim=5,
-                                     target_radius=0.6,
-                                     decoder_noise_variance=0.5,
-                                     corruption_variance=0.25)
-
-
-def _chunked_walk(system, n, workers, chunk_rows, monkeypatch):
-    monkeypatch.setattr(chain_module, "_CHUNK_ROWS", chunk_rows)
-    rng = Rng(42, counter=17)
-    z0 = LatentBatch(Rng(43).normal((n, system.latent_dim)))
-    trace = run_chain(OracleModelAdapter(system), z0, 6,
-                      spec=CorruptionSpec(system.corruption_variance), rng=rng,
-                      _workers=workers)
-    return trace, rng.counter
-
-
-def _walk_bytes(trace):
-    return [(s.t, s.z.provenance, s.x.tobytes(), s.x_tilde.tobytes(),
-             s.z.values.tobytes()) for s in trace.steps]
-
-
-@pytest.mark.parametrize("system", [_identity_encoder_system,
-                                    _rectangular_system])
-@pytest.mark.parametrize("n", [17, 29, 32])
-def test_chunked_walk_bytes_do_not_depend_on_the_worker_count(system, n,
-                                                               monkeypatch):
-    """Near-equal chunks of at least 8 rows (8+9 for 17 rows, 9+10+10 for 29);
-    1, 2 and 3 workers give the whole-batch walk's trace and leave the rng
-    at its counter."""
-    runs = [_chunked_walk(system(), n, workers, 8, monkeypatch)
-            for workers in (1, 2, 3)]
-    first, counter = runs[0]
-    assert [s.t for s in first.steps] == [1, 2, 3, 4, 5, 6]
-    assert first.steps[-1].z.values.shape == (n, first.z0.values.shape[1])
-    for trace, other_counter in runs[1:]:
-        assert _walk_bytes(trace) == _walk_bytes(first)
-        assert other_counter == counter
-    # Each step draws decoder noise and corruption, 2 * 2 * n * data_dim raw.
-    assert counter == 17 + 6 * 4 * n * system().data_dim
-    whole, whole_counter = _chunked_walk(system(), n, None, n, monkeypatch)
-    assert _walk_bytes(whole) == _walk_bytes(first)
-    assert whole_counter == counter
-
-
-def test_sinks_and_row_coupled_models_walk_the_whole_batch(tiny_vae,
-                                                          monkeypatch):
-    def refuse(*args):
-        raise AssertionError("walked in chunks")
-
-    monkeypatch.setattr(chain_module, "_CHUNK_ROWS", 2)
-    monkeypatch.setattr(chain_module, "_walk_chunks", refuse)
-    assert not GenerativeAutoencoder.row_independent
-    run_chain(tiny_vae, sample_prior(8, tiny_vae.prior, Rng(44)), 2, rng=Rng(45))
-    seen = []
-    model = OracleModelAdapter(_identity_encoder_system())
-    run_chain(model, LatentBatch(Rng(46).normal((8, 3))), 2, rng=Rng(47),
-              sink=seen.append)
-    assert [s.z.values.shape for s in seen] == [(8, 3), (8, 3)]
-
-
-class _FailingAdapter(OracleModelAdapter):
-    """Raises a DomainError when it decodes off the main thread."""
-
-    def chain_decode(self, z, rng):
-        if threading.current_thread() is not threading.main_thread():
-            raise DomainError("chunk refused")
-        return super().chain_decode(z, rng)
-
-
-def test_an_error_in_a_chunk_thread_leaves_run_chain_unchanged(monkeypatch):
-    """The chunk's own exception reaches the caller, every thread is joined
-    and the rng is not advanced."""
-    monkeypatch.setattr(chain_module, "_CHUNK_ROWS", 4)
-    model = _FailingAdapter(_identity_encoder_system())
-    rng = Rng(48)
-    threads = threading.active_count()
-    with pytest.raises(DomainError, match="chunk refused") as info:
-        run_chain(model, LatentBatch(Rng(49).normal((10, 3))), 3, rng=rng,
-                  _workers=2)
-    assert type(info.value) is DomainError
-    assert rng.counter == 0
-    assert threading.active_count() == threads

@@ -13,8 +13,8 @@ from latentwalk import (ConfigError, CorruptionSpec, DomainError,
                         Rng, load_arrays, load_checkpoint, parse_config,
                         read_checkpoint_header, run_chain, sample_prior,
                         save_checkpoint)
-from latentwalk import chain as chain_module
 from latentwalk import data as data_module
+from latentwalk import oracle as oracle_module
 from latentwalk.cli import main
 
 FAST = ("train_size = 96\n"
@@ -154,6 +154,45 @@ def test_sample_on_a_descriptor_that_is_not_an_object_exits_one(tmp_path,
     assert "error:" in capsys.readouterr().err
 
 
+def test_sample_on_a_checkpoint_with_a_bad_data_shape_exits_one(tmp_path,
+                                                               capsys):
+    ckpt = _image_checkpoint(tmp_path)
+    blob = ckpt.read_bytes()
+    (head_len,) = struct.unpack("<I", blob[5:9])
+    header = json.loads(blob[9:9 + head_len])
+    header["data_shape"] = 5
+    head = json.dumps(header).encode()
+    ckpt.write_bytes(blob[:5] + struct.pack("<I", len(head)) + head
+                     + blob[9 + head_len:])
+    code = main(["sample", "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_sample_into_a_directory_it_cannot_create_exits_one(tmp_path, capsys):
+    ckpt = _image_checkpoint(tmp_path)
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    code = main(["sample", "--checkpoint", str(ckpt), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+
+
+@pytest.mark.parametrize("subcommand", ["train", "evaluate"])
+def test_a_missing_dataset_exits_one(tmp_path, capsys, subcommand):
+    missing = tmp_path / "missing.idx"
+    cfg = tmp_path / "images.cfg"
+    cfg.write_text(f"dataset = {missing}\n")
+    argv = [subcommand, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if subcommand == "evaluate":
+        argv += ["--checkpoint", str(_image_checkpoint(tmp_path))]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+
+
 def test_sample_holds_a_few_steps_not_the_walk(tmp_path):
     ckpt = _image_checkpoint(tmp_path)
     n, steps = 64, 60
@@ -243,6 +282,18 @@ def test_interpolate_negative_index_is_usage_error(tmp_path, fast_cfg, capsys):
     assert "argument --indices" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--rows", "--cols"])
+@pytest.mark.parametrize("value", ["1", "-2"])
+def test_interpolate_grid_side_below_two_is_usage_error(tmp_path, capsys,
+                                                        flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["interpolate", "--checkpoint", str(tmp_path / "none.ckpt"),
+              "--out", str(tmp_path / "o"), f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("n", ["-3", "0"])
 def test_reconstruct_needs_at_least_one_item(tmp_path, fast_cfg, capsys, n):
     run = _train(tmp_path, fast_cfg, variant="dvae")
@@ -314,15 +365,15 @@ def test_oracle_check_fails_cleanly_when_a_chunk_thread_raises(tmp_path, capsys,
 
     def refuse_off_main(self, z, rng):
         if threading.current_thread() is not threading.main_thread():
-            raise DomainError("chunk refused")
+            raise DomainError("group refused")
         return decode(self, z, rng)
 
     monkeypatch.setattr(OracleModelAdapter, "chain_decode", refuse_off_main)
-    monkeypatch.setattr(chain_module, "_CHUNK_ROWS", 16)
+    monkeypatch.setattr(oracle_module, "_GROUP_CHAINS", 16)
     code = main(["oracle-check", "--out", str(tmp_path / "oc"),
                  "--chains", "100"])
     assert code == 1
-    assert "error: chunk refused" in capsys.readouterr().err
+    assert "error: group refused" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])

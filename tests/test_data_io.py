@@ -395,12 +395,25 @@ def _write_container(path, descriptor, payload):
      bytes(8)),
     ({"kind": "arrays", "tensors": [{"name": "x", "shape": [1]},
                                     {"name": "x", "shape": [1]}]}, bytes(16)),
+    ({"kind": "arrays", "tensors": [], "extra": 5}, b""),
+    ({"kind": "model", "tensors": [], "model": 5}, b""),
+    ({"kind": "model", "tensors": [], "model": {}, "train_config": 5}, b""),
+    ({"kind": "model", "tensors": [], "model": {}, "data_shape": 5}, b""),
+    ({"kind": "model", "tensors": [], "model": {}, "data_shape": [28]}, b""),
+    ({"kind": "model", "tensors": [], "model": {}, "data_shape": [0, 28]},
+     b""),
+    ({"kind": "model", "tensors": [], "model": {},
+      "data_shape": ["28", 28]}, b""),
 ], ids=["not-an-object", "nameless-tensor", "negative-dimension",
-        "duplicate-name"])
+        "duplicate-name", "extra-not-an-object", "model-not-an-object",
+        "train-config-not-an-object", "data-shape-not-a-list",
+        "data-shape-of-one-size", "data-shape-of-a-zero-size",
+        "data-shape-of-a-string"])
 def test_container_rejects_a_malformed_descriptor(tmp_path, descriptor,
                                                   payload):
     """Every reader refuses a descriptor that frames a payload of the right
-    length but does not name each tensor once with a real shape."""
+    length but does not name each tensor once with a real shape, or whose
+    metadata is not of its kind's types."""
     path = tmp_path / "dump.bin"
     _write_container(path, descriptor, payload)
     for read in (load_arrays, load_checkpoint, read_checkpoint_header):

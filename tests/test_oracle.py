@@ -6,14 +6,17 @@ Q = (decoder_var + corruption_var)·E·Eᵀ, so the stationary covariance solves
 S = M S Mᵀ + Q. With M = 0.5·I and Q = I that gives S = I / (1 - 0.25) = (4/3)·I.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
-from latentwalk import (ContractViolation, DivergenceError, LatentBatch,
-                        OracleModelAdapter, OracleSystem, Rng,
+from latentwalk import (ContractViolation, DivergenceError, DomainError,
+                        LatentBatch, OracleModelAdapter, OracleSystem, Rng,
                         oracle_sample_chain, oracle_transition_moments,
                         random_contractive_system, run_chain, run_oracle_suite,
                         solve_stationary_cov, spectral_radius)
+from latentwalk import oracle as oracle_module
 
 
 def _half_identity(dec_var=1.0, corr_var=0.0):
@@ -192,3 +195,63 @@ def test_suite_all_green():
 def test_suite_detects_divergence():
     results = run_oracle_suite(seed=0, radius=1.05, n_chains=500, tol_cov=0.08)
     assert any(not r.passed for r in results)
+
+
+# ---------------------------------------------------------------------------
+# check 4's chain groups
+
+
+def test_suite_results_do_not_depend_on_the_thread_count(monkeypatch):
+    """41 chains in groups of at least 8 make 5 groups (8+8+8+8+9)."""
+    monkeypatch.setattr(oracle_module, "_GROUP_CHAINS", 8)
+    runs = []
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(oracle_module, "_cpu_count", lambda: threads)
+        runs.append(run_oracle_suite(seed=5, radius=0.5, n_chains=41,
+                                     tol_cov=10.0))
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_each_group_walks_on_its_own_derived_stream(monkeypatch):
+    monkeypatch.setattr(oracle_module, "_GROUP_CHAINS", 8)
+    monkeypatch.setattr(oracle_module, "_cpu_count", lambda: 3)
+    decode = OracleModelAdapter.chain_decode
+    walkers = set()
+
+    def record(self, z, rng):
+        walkers.add(threading.get_ident())
+        return decode(self, z, rng)
+
+    sys = _half_identity(dec_var=1.0)
+    rng = Rng(6)
+    monkeypatch.setattr(OracleModelAdapter, "chain_decode", record)
+    grouped = oracle_module._final_latents(sys, 41, 7, rng)
+    assert threading.main_thread().ident not in walkers
+    assert 1 <= len(walkers) <= 3
+    assert rng.counter == 0
+    bounds = [0, 8, 16, 24, 32, 41]
+    for i in range(5):
+        g = rng.derive(f"chains{i}")
+        z0 = LatentBatch(g.normal((bounds[i + 1] - bounds[i], 2)))
+        serial = run_chain(OracleModelAdapter(sys), z0, 7, rng=g)
+        assert np.array_equal(grouped[bounds[i]:bounds[i + 1]],
+                              serial.steps[-1].z.values)
+
+
+def test_an_error_in_a_group_thread_reaches_the_caller(monkeypatch):
+    """The group's own exception type, once every thread is joined."""
+    decode = OracleModelAdapter.chain_decode
+
+    def refuse_off_main(self, z, rng):
+        if threading.current_thread() is not threading.main_thread():
+            raise DomainError("group refused")
+        return decode(self, z, rng)
+
+    monkeypatch.setattr(oracle_module, "_GROUP_CHAINS", 4)
+    monkeypatch.setattr(oracle_module, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(OracleModelAdapter, "chain_decode", refuse_off_main)
+    threads = threading.active_count()
+    with pytest.raises(DomainError, match="group refused") as info:
+        run_oracle_suite(seed=0, radius=0.5, n_chains=10)
+    assert type(info.value) is DomainError
+    assert threading.active_count() == threads

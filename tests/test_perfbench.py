@@ -50,3 +50,15 @@ def test_traced_train_and_sample_count_no_errors(tmp_path):
         assert summary["spans"][writer]["calls"] == 1
         assert (summary["counts"]["data.bytes_written"]
                 == (tmp_path / written).stat().st_size)
+
+
+def test_traced_oracle_check_counts_every_group_of_chains(tmp_path):
+    """32,768 chains walk check 4 in two groups, each on its own thread."""
+    proc = _run([str(BENCH / "traced_cli.py"), "oracle.json", "oracle-check",
+                 "--chains", "32768", "--spectral-radius", "0.9",
+                 "--out", "oracle"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads((tmp_path / "oracle.json").read_text())
+    assert not any(summary["errors"].values()), summary["errors"]
+    # Check 4 walks 200 steps of every chain; check 6, 20 steps of 64.
+    assert summary["counts"]["chain.transitions"] == 200 * 32768 + 20 * 64

@@ -137,41 +137,3 @@ def test_stream_digests_are_pinned():
     for kind, digest in digests.items():
         draws = getattr(Rng(2016), kind)((3, 70001))
         assert hashlib.sha256(draws.tobytes()).hexdigest() == digest, kind
-
-
-# ---------------------------------------------------------------------------
-# row windows
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 40), data=st.data(),
-       width=st.integers(0, 5), counter=st.integers(0, 2**40),
-       kind=st.sampled_from(["uniform", "normal"]))
-def test_a_window_draws_its_rows_of_the_whole_draw(n, data, width, counter,
-                                                    kind):
-    lo = data.draw(st.integers(0, n - 1))
-    hi = data.draw(st.integers(lo + 1, n))
-    whole, parent = Rng(31, counter), Rng(31, counter)
-    window = parent.window(n, lo, hi)
-    for _ in range(2):  # a second draw starts where the whole one left off
-        expected = getattr(whole, kind)((n, width))[lo:hi]
-        got = getattr(window, kind)((hi - lo, width))
-        assert got.tobytes() == expected.tobytes()
-        assert window.counter == whole.counter
-    assert parent.counter == counter
-
-
-@pytest.mark.parametrize("shape", [(), 3, (3, 2), (5, 2)])
-def test_a_window_rejects_any_other_leading_dimension(shape):
-    window = Rng(1).window(10, 2, 6)
-    for kind in ("uniform", "normal"):
-        with pytest.raises(ContractViolation):
-            getattr(window, kind)(shape)
-    assert window.counter == 0
-
-
-@pytest.mark.parametrize("n,lo,hi", [(5, 0, 0), (5, 3, 2), (5, -1, 2),
-                                     (5, 4, 6)])
-def test_a_window_must_lie_inside_the_rows(n, lo, hi):
-    with pytest.raises(ContractViolation):
-        Rng(1).window(n, lo, hi)
