@@ -281,14 +281,17 @@ def _read_container(path: str | Path, kind: str
     if not isinstance(specs, list) or header.get("kind") != kind:
         raise CheckpointError(
             f"{path}: descriptor is not a {kind!r} object with a tensor list")
-    shape = header.get("data_shape")
-    if not (isinstance(header.get("extra", {}), dict) if kind == "arrays" else
-            isinstance(header.get("model"), dict)
-            and isinstance(header.get("train_config"), (dict, type(None)))
-            and (shape is None or isinstance(shape, list) and len(shape) == 2
-                 and all(type(d) is int and d > 0 for d in shape))):
-        raise CheckpointError(f"{path}: descriptor's {kind} metadata has the "
-                              f"wrong types")
+    if kind == "arrays" and not isinstance(header.get("extra", {}), dict):
+        raise CheckpointError(f"{path}: extra is not an object")
+    if kind == "model":
+        shape = header.get("data_shape")
+        if not isinstance(header.get("model"), dict):
+            raise CheckpointError(f"{path}: model is not an object")
+        if not isinstance(header.get("train_config"), (dict, type(None))):
+            raise CheckpointError(f"{path}: train_config is not an object or null")
+        if shape is not None and not (isinstance(shape, list) and len(shape) == 2
+                                      and all(type(d) is int and d > 0 for d in shape)):
+            raise CheckpointError(f"{path}: data_shape is not null or two sizes > 0")
     start = offset = 9 + head_len + 8
     index = {}
     for spec in specs:

@@ -209,30 +209,57 @@ def _cpu_count() -> int:
             else os.cpu_count() or 1)
 
 
+class _GroupedAdapter(OracleModelAdapter):
+    """OracleModelAdapter over row groups, each a (slice, Rng) pair: each half
+    of a transition runs on `threads` threads of `pool`, thread j taking
+    groups j, j + threads, ..., and each group draws from its own stream,
+    never from the `rng` the chain hands in."""
+
+    def __init__(self, sys: OracleSystem, groups: list, pool, threads: int):
+        super().__init__(sys)
+        self._groups, self._pool, self._threads = groups, pool, threads
+
+    def _by_group(self, half, rows: np.ndarray, width: int) -> np.ndarray:
+        out = np.empty((len(rows), width))
+
+        def run(j: int) -> None:
+            for span, g in self._groups[j::self._threads]:
+                out[span] = half(self, rows[span], g)
+
+        list(self._pool.map(run, range(self._threads)))
+        return out
+
+    def chain_decode(self, z: np.ndarray, rng: Rng) -> np.ndarray:
+        return self._by_group(OracleModelAdapter.chain_decode, z, self.data_dim)
+
+    def chain_encode(self, x: np.ndarray, rng: Rng) -> np.ndarray:
+        return self._by_group(OracleModelAdapter.chain_encode, x,
+                              self.latent_dim)
+
+
 def _final_latents(sys: OracleSystem, n_chains: int, steps: int,
                    rng: Rng) -> np.ndarray:
     """Latents of `n_chains` independent chains of `sys` after `steps` plain
-    transitions from prior draws, walked in k = max(1, n_chains //
-    `_GROUP_CHAINS`) groups on up to one thread per core (NumPy releases the
-    GIL in a group's products and ufuncs). Group i holds chains
-    i * n_chains // k to (i + 1) * n_chains // k and draws from
-    ``rng.derive(f"chains{i}")``, so no value depends on the core count. A
+    transitions from prior draws. Group i of k = max(1, n_chains //
+    `_GROUP_CHAINS`) holds chains i * n_chains // k to (i + 1) * n_chains // k
+    and draws from ``rng.derive(f"chains{i}")``, so it walks as a `run_chain`
+    of its rows alone would. One `run_chain` on the calling thread walks them
+    all, each step's groups on up to one thread per core (NumPy releases the
+    GIL in their products and ufuncs); no value depends on the core count. A
     group's exception propagates once every thread is joined."""
     # Imported here, as no other call of the package starts threads.
     from concurrent.futures import ThreadPoolExecutor
 
     k = max(1, n_chains // _GROUP_CHAINS)
-    bounds = [i * n_chains // k for i in range(k + 1)]
-
-    def walk(i: int) -> np.ndarray:
-        g = rng.derive(f"chains{i}")
-        z0 = LatentBatch(g.normal((bounds[i + 1] - bounds[i], sys.latent_dim)))
-        trace = run_chain(OracleModelAdapter(sys), z0, steps, rng=g,
-                          keep=(steps,))
-        return trace.steps[-1].z.values
-
-    with ThreadPoolExecutor(max_workers=min(_cpu_count(), k)) as pool:
-        return np.concatenate(list(pool.map(walk, range(k))))
+    groups = [(slice(i * n_chains // k, (i + 1) * n_chains // k),
+               rng.derive(f"chains{i}")) for i in range(k)]
+    z0 = np.concatenate([g.normal((s.stop - s.start, sys.latent_dim))
+                         for s, g in groups])
+    threads = min(_cpu_count(), k)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        trace = run_chain(_GroupedAdapter(sys, groups, pool, threads),
+                          LatentBatch(z0), steps, rng=rng, keep=(steps,))
+    return trace.steps[-1].z.values
 
 
 @dataclass

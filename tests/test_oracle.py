@@ -238,6 +238,22 @@ def test_each_group_walks_on_its_own_derived_stream(monkeypatch):
                               serial.steps[-1].z.values)
 
 
+def test_one_run_chain_on_the_calling_thread_walks_every_group(monkeypatch):
+    """Group threads run only the halves of each step: code wrapped around
+    run_chain sees one call, on the calling thread, with every chain."""
+    monkeypatch.setattr(oracle_module, "_GROUP_CHAINS", 8)
+    monkeypatch.setattr(oracle_module, "_cpu_count", lambda: 3)
+    calls = []
+
+    def record(model, z0, steps, **kwargs):
+        calls.append((threading.get_ident(), len(z0), steps))
+        return run_chain(model, z0, steps, **kwargs)
+
+    monkeypatch.setattr(oracle_module, "run_chain", record)
+    oracle_module._final_latents(_half_identity(dec_var=1.0), 41, 7, Rng(6))
+    assert calls == [(threading.main_thread().ident, 41, 7)]
+
+
 def test_an_error_in_a_group_thread_reaches_the_caller(monkeypatch):
     """The group's own exception type, once every thread is joined."""
     decode = OracleModelAdapter.chain_decode

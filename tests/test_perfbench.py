@@ -62,3 +62,9 @@ def test_traced_oracle_check_counts_every_group_of_chains(tmp_path):
     assert not any(summary["errors"].values()), summary["errors"]
     # Check 4 walks 200 steps of every chain; check 6, 20 steps of 64.
     assert summary["counts"]["chain.transitions"] == 200 * 32768 + 20 * 64
+    # One run_chain call each, on the main thread, so no span of a group
+    # thread is recorded as the parent of a walk.
+    spans = summary["spans"]
+    assert spans["chain.run_chain"]["calls"] == 2
+    assert spans["chain.run_chain"]["self_s"] > 0
+    assert spans["rng.normal"]["self_s"] > 0
