@@ -64,11 +64,15 @@ def mmd_rbf(a: np.ndarray, b: np.ndarray, bandwidth: float | str = "auto",
         raise ContractViolation(
             f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
-    if bandwidth == "auto":
+    if isinstance(bandwidth, str):
+        if bandwidth != "auto":
+            raise ContractViolation(
+                f"bandwidth must be 'auto' or a number, got {bandwidth!r}")
         bandwidth = median_heuristic_bandwidth(a, b)
     bandwidth = float(bandwidth)
-    if bandwidth <= 0.0:
-        raise ContractViolation(f"bandwidth must be positive, got {bandwidth}")
+    if not 0.0 < bandwidth < np.inf:
+        raise ContractViolation(
+            f"bandwidth must be finite and positive, got {bandwidth}")
     denom = 2.0 * bandwidth * bandwidth
     if k_aa is None:
         k_aa = _kernel_mean(a, a, denom)

@@ -15,7 +15,6 @@ another simulation.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +29,6 @@ from .rng import Rng
 _MAX_DOUBLINGS = 64
 # Any stationary covariance this large means the map is not a contraction.
 _GROWTH_CAP = 1e12
-# The fewest chains in a group of check 4's walk (see `_final_latents`).
-_GROUP_CHAINS = 16_384
 
 
 class OracleSystem:
@@ -203,65 +200,6 @@ def random_contractive_system(rng: Rng, latent_dim: int, data_dim: int,
                                 decoder_noise_variance, corruption_variance)
 
 
-def _cpu_count() -> int:
-    """The number of cores this process may run on."""
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
-class _GroupedAdapter(OracleModelAdapter):
-    """OracleModelAdapter over row groups, each a (slice, Rng) pair: each half
-    of a transition runs on `threads` threads of `pool`, thread j taking
-    groups j, j + threads, ..., and each group draws from its own stream,
-    never from the `rng` the chain hands in."""
-
-    def __init__(self, sys: OracleSystem, groups: list, pool, threads: int):
-        super().__init__(sys)
-        self._groups, self._pool, self._threads = groups, pool, threads
-
-    def _by_group(self, half, rows: np.ndarray, width: int) -> np.ndarray:
-        out = np.empty((len(rows), width))
-
-        def run(j: int) -> None:
-            for span, g in self._groups[j::self._threads]:
-                out[span] = half(self, rows[span], g)
-
-        list(self._pool.map(run, range(self._threads)))
-        return out
-
-    def chain_decode(self, z: np.ndarray, rng: Rng) -> np.ndarray:
-        return self._by_group(OracleModelAdapter.chain_decode, z, self.data_dim)
-
-    def chain_encode(self, x: np.ndarray, rng: Rng) -> np.ndarray:
-        return self._by_group(OracleModelAdapter.chain_encode, x,
-                              self.latent_dim)
-
-
-def _final_latents(sys: OracleSystem, n_chains: int, steps: int,
-                   rng: Rng) -> np.ndarray:
-    """Latents of `n_chains` independent chains of `sys` after `steps` plain
-    transitions from prior draws. Group i of k = max(1, n_chains //
-    `_GROUP_CHAINS`) holds chains i * n_chains // k to (i + 1) * n_chains // k
-    and draws from ``rng.derive(f"chains{i}")``, so it walks as a `run_chain`
-    of its rows alone would. One `run_chain` on the calling thread walks them
-    all, each step's groups on up to one thread per core (NumPy releases the
-    GIL in their products and ufuncs); no value depends on the core count. A
-    group's exception propagates once every thread is joined."""
-    # Imported here, as no other call of the package starts threads.
-    from concurrent.futures import ThreadPoolExecutor
-
-    k = max(1, n_chains // _GROUP_CHAINS)
-    groups = [(slice(i * n_chains // k, (i + 1) * n_chains // k),
-               rng.derive(f"chains{i}")) for i in range(k)]
-    z0 = np.concatenate([g.normal((s.stop - s.start, sys.latent_dim))
-                         for s, g in groups])
-    threads = min(_cpu_count(), k)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        trace = run_chain(_GroupedAdapter(sys, groups, pool, threads),
-                          LatentBatch(z0), steps, rng=rng, keep=(steps,))
-    return trace.steps[-1].z.values
-
-
 @dataclass
 class CheckResult:
     """One row of the verification table."""
@@ -326,12 +264,17 @@ def run_oracle_suite(seed: int = 0, radius: float = 0.5, n_chains: int = 10_000,
     results.append(CheckResult("lyapunov-residual", worst <= 1e-10,
                                f"worst residual {worst:.3e} over 10 systems"))
 
-    # 4. Sampled chains reach the analytic stationary covariance. run_chain on
-    # the adapter draws exactly as oracle_sample_chain does (check 6).
+    # 4. Sampled chains reach the analytic stationary covariance: one walk of
+    # every chain, from prior draws, on its own stream, so the suite's `rng`
+    # is not advanced. run_chain on the adapter draws exactly as
+    # oracle_sample_chain does (check 6).
     try:
         sigma = solve_stationary_cov(base, tol=1e-12)
-        emp = np.cov(_final_latents(base, n_chains, 200, rng), rowvar=False,
-                     bias=True)
+        g = rng.derive("chains0")
+        walk = run_chain(OracleModelAdapter(base),
+                         LatentBatch(g.normal((n_chains, b))), 200, rng=g,
+                         keep=(200,))
+        emp = np.cov(walk.steps[-1].z.values, rowvar=False, bias=True)
         rel = _rel_frobenius(emp, sigma)
         results.append(CheckResult("sampled-covariance", rel < tol_cov,
                                    f"relative Frobenius error {rel:.4f} "

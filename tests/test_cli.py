@@ -2,7 +2,6 @@
 
 import json
 import struct
-import threading
 import tracemalloc
 
 import numpy as np
@@ -14,7 +13,6 @@ from latentwalk import (ConfigError, CorruptionSpec, DomainError,
                         read_checkpoint_header, run_chain, sample_prior,
                         save_checkpoint)
 from latentwalk import data as data_module
-from latentwalk import oracle as oracle_module
 from latentwalk.cli import main
 
 FAST = ("train_size = 96\n"
@@ -359,21 +357,21 @@ def test_oracle_check_passes_by_default(tmp_path, capsys):
     assert "FAIL" not in printed
 
 
-def test_oracle_check_fails_cleanly_when_a_chunk_thread_raises(tmp_path, capsys,
-                                                              monkeypatch):
+def test_oracle_check_fails_cleanly_when_the_walk_raises(tmp_path, capsys,
+                                                        monkeypatch):
+    """A DomainError in check 4's decode of its 100 chains."""
     decode = OracleModelAdapter.chain_decode
 
-    def refuse_off_main(self, z, rng):
-        if threading.current_thread() is not threading.main_thread():
-            raise DomainError("group refused")
+    def refuse_the_walk(self, z, rng):
+        if len(z) == 100:
+            raise DomainError("walk refused")
         return decode(self, z, rng)
 
-    monkeypatch.setattr(OracleModelAdapter, "chain_decode", refuse_off_main)
-    monkeypatch.setattr(oracle_module, "_GROUP_CHAINS", 16)
+    monkeypatch.setattr(OracleModelAdapter, "chain_decode", refuse_the_walk)
     code = main(["oracle-check", "--out", str(tmp_path / "oc"),
                  "--chains", "100"])
     assert code == 1
-    assert "error: group refused" in capsys.readouterr().err
+    assert "error: walk refused" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])

@@ -78,8 +78,13 @@ def test_mmd_validation():
     a = Rng(11).normal((10, 2))
     with pytest.raises(ContractViolation):
         mmd_rbf(a, Rng(12).normal((10, 3)))
-    with pytest.raises(ContractViolation):
-        mmd_rbf(a, a, bandwidth=-1.0)
+
+
+@pytest.mark.parametrize("bandwidth", [math.nan, math.inf, -1.0, 0.0, "abc"])
+def test_mmd_bandwidth_must_be_finite_and_positive(bandwidth):
+    a = Rng(11).normal((10, 2))
+    with pytest.raises(ContractViolation, match="bandwidth"):
+        mmd_rbf(a, a + 1.0, bandwidth=bandwidth)
 
 
 def test_median_heuristic_known_value():

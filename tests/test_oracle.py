@@ -11,8 +11,8 @@ import threading
 import numpy as np
 import pytest
 
-from latentwalk import (ContractViolation, DivergenceError, DomainError,
-                        LatentBatch, OracleModelAdapter, OracleSystem, Rng,
+from latentwalk import (ContractViolation, DivergenceError, LatentBatch,
+                        OracleModelAdapter, OracleSystem, Rng,
                         oracle_sample_chain, oracle_transition_moments,
                         random_contractive_system, run_chain, run_oracle_suite,
                         solve_stationary_cov, spectral_radius)
@@ -198,76 +198,42 @@ def test_suite_detects_divergence():
 
 
 # ---------------------------------------------------------------------------
-# check 4's chain groups
+# check 4's walk
 
 
-def test_suite_results_do_not_depend_on_the_thread_count(monkeypatch):
-    """41 chains in groups of at least 8 make 5 groups (8+8+8+8+9)."""
-    monkeypatch.setattr(oracle_module, "_GROUP_CHAINS", 8)
-    runs = []
-    for threads in (1, 2, 3):
-        monkeypatch.setattr(oracle_module, "_cpu_count", lambda: threads)
-        runs.append(run_oracle_suite(seed=5, radius=0.5, n_chains=41,
-                                     tol_cov=10.0))
-    assert runs[1] == runs[0] and runs[2] == runs[0]
+def test_check_4_is_one_serial_walk_on_its_derived_stream(monkeypatch):
+    """One run_chain of all 40,000 chains on the suite stream's
+    ``derive("chains0")``; the suite stream itself is not advanced."""
+    parents, walks = [], []
+    derive = Rng.derive
+
+    def record_derive(self, tag):
+        if tag == "chains0":
+            parents.append(self)
+        return derive(self, tag)
+
+    def record_walk(model, z0, steps, **kwargs):
+        trace = run_chain(model, z0, steps, **kwargs)
+        walks.append((z0.values.copy(), trace.steps[-1].z.values,
+                      parents[-1].counter))
+        return trace
+
+    monkeypatch.setattr(Rng, "derive", record_derive)
+    monkeypatch.setattr(oracle_module, "run_chain", record_walk)
+    run_oracle_suite(seed=5, radius=0.5, n_chains=40_000)
+    z0, final, counter = walks[0]
+    assert counter == 0
+    g = Rng(5).derive("oracle-suite").derive("chains0")
+    assert np.array_equal(z0, g.normal((40_000, 2)))
+    serial = run_chain(OracleModelAdapter(_half_identity(dec_var=1.0)),
+                       LatentBatch(z0), 200, rng=g, keep=(200,))
+    assert np.array_equal(final, serial.steps[-1].z.values)
 
 
-def test_each_group_walks_on_its_own_derived_stream(monkeypatch):
-    monkeypatch.setattr(oracle_module, "_GROUP_CHAINS", 8)
-    monkeypatch.setattr(oracle_module, "_cpu_count", lambda: 3)
-    decode = OracleModelAdapter.chain_decode
-    walkers = set()
+def test_suite_starts_no_thread(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the oracle suite started a thread")
 
-    def record(self, z, rng):
-        walkers.add(threading.get_ident())
-        return decode(self, z, rng)
-
-    sys = _half_identity(dec_var=1.0)
-    rng = Rng(6)
-    monkeypatch.setattr(OracleModelAdapter, "chain_decode", record)
-    grouped = oracle_module._final_latents(sys, 41, 7, rng)
-    assert threading.main_thread().ident not in walkers
-    assert 1 <= len(walkers) <= 3
-    assert rng.counter == 0
-    bounds = [0, 8, 16, 24, 32, 41]
-    for i in range(5):
-        g = rng.derive(f"chains{i}")
-        z0 = LatentBatch(g.normal((bounds[i + 1] - bounds[i], 2)))
-        serial = run_chain(OracleModelAdapter(sys), z0, 7, rng=g)
-        assert np.array_equal(grouped[bounds[i]:bounds[i + 1]],
-                              serial.steps[-1].z.values)
-
-
-def test_one_run_chain_on_the_calling_thread_walks_every_group(monkeypatch):
-    """Group threads run only the halves of each step: code wrapped around
-    run_chain sees one call, on the calling thread, with every chain."""
-    monkeypatch.setattr(oracle_module, "_GROUP_CHAINS", 8)
-    monkeypatch.setattr(oracle_module, "_cpu_count", lambda: 3)
-    calls = []
-
-    def record(model, z0, steps, **kwargs):
-        calls.append((threading.get_ident(), len(z0), steps))
-        return run_chain(model, z0, steps, **kwargs)
-
-    monkeypatch.setattr(oracle_module, "run_chain", record)
-    oracle_module._final_latents(_half_identity(dec_var=1.0), 41, 7, Rng(6))
-    assert calls == [(threading.main_thread().ident, 41, 7)]
-
-
-def test_an_error_in_a_group_thread_reaches_the_caller(monkeypatch):
-    """The group's own exception type, once every thread is joined."""
-    decode = OracleModelAdapter.chain_decode
-
-    def refuse_off_main(self, z, rng):
-        if threading.current_thread() is not threading.main_thread():
-            raise DomainError("group refused")
-        return decode(self, z, rng)
-
-    monkeypatch.setattr(oracle_module, "_GROUP_CHAINS", 4)
-    monkeypatch.setattr(oracle_module, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(OracleModelAdapter, "chain_decode", refuse_off_main)
-    threads = threading.active_count()
-    with pytest.raises(DomainError, match="group refused") as info:
-        run_oracle_suite(seed=0, radius=0.5, n_chains=10)
-    assert type(info.value) is DomainError
-    assert threading.active_count() == threads
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for r in run_oracle_suite(seed=0, radius=0.5, n_chains=4000, tol_cov=0.08):
+        assert r.passed, f"{r.name}: {r.detail}"

@@ -52,8 +52,8 @@ def test_traced_train_and_sample_count_no_errors(tmp_path):
                 == (tmp_path / written).stat().st_size)
 
 
-def test_traced_oracle_check_counts_every_group_of_chains(tmp_path):
-    """32,768 chains walk check 4 in two groups, each on its own thread."""
+def test_traced_oracle_check_counts_every_chain_of_the_walk(tmp_path):
+    """32,768 chains walk check 4 in one run_chain call."""
     proc = _run([str(BENCH / "traced_cli.py"), "oracle.json", "oracle-check",
                  "--chains", "32768", "--spectral-radius", "0.9",
                  "--out", "oracle"], cwd=tmp_path)
@@ -62,8 +62,7 @@ def test_traced_oracle_check_counts_every_group_of_chains(tmp_path):
     assert not any(summary["errors"].values()), summary["errors"]
     # Check 4 walks 200 steps of every chain; check 6, 20 steps of 64.
     assert summary["counts"]["chain.transitions"] == 200 * 32768 + 20 * 64
-    # One run_chain call each, on the main thread, so no span of a group
-    # thread is recorded as the parent of a walk.
+    # One run_chain call each: check 4's walk and check 6's.
     spans = summary["spans"]
     assert spans["chain.run_chain"]["calls"] == 2
     assert spans["chain.run_chain"]["self_s"] > 0
