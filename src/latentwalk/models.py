@@ -124,18 +124,15 @@ class GenerativeAutoencoder:
 
         rng = Rng(init_seed).derive("init")
         head_out = 2 * latent_dim if variant == "vae" else latent_dim
-        self.encoder = _mlp(rng, data_dim, hidden_dims, head_out, norm=True,
-                            dtype=dtype)
+        self.encoder = _stack(rng, (data_dim, *hidden_dims, head_out), dtype)
         if variant == "vae":
             head = self.encoder[-1]
             head.weights.data[latent_dim:, :] *= _SIGMA_HEAD_WEIGHT_SCALE
             head.bias.data[latent_dim:] = np.log(_SIGMA_HEAD_INIT)
-        self.decoder = _mlp(rng, latent_dim, hidden_dims, data_dim, norm=True,
-                            dtype=dtype)
-        if variant == "aae":
-            self.adversary = _adversary(rng, latent_dim, adversary_dims, dtype)
-        else:
-            self.adversary = None
+        self.decoder = _stack(rng, (latent_dim, *hidden_dims, data_dim), dtype)
+        self.adversary = (_stack(rng, (latent_dim, *adversary_dims, 1), dtype,
+                                 adversary=True)
+                          if variant == "aae" else None)
 
     def arch(self) -> dict:
         """The constructor arguments as JSON values (the dtype by name):
@@ -157,15 +154,13 @@ class GenerativeAutoencoder:
     # -- parameter access -----------------------------------------------------
 
     def encoder_params(self) -> list[Tensor]:
-        return [p for layer in self.encoder for p in layer.params()]
+        return _params(self.encoder)
 
     def decoder_params(self) -> list[Tensor]:
-        return [p for layer in self.decoder for p in layer.params()]
+        return _params(self.decoder)
 
     def adversary_params(self) -> list[Tensor]:
-        if self.adversary is None:
-            return []
-        return [p for layer in self.adversary for p in layer.params()]
+        return _params(self.adversary or [])
 
     def all_params(self) -> list[Tensor]:
         return self.encoder_params() + self.decoder_params() + self.adversary_params()
@@ -177,20 +172,10 @@ class GenerativeAutoencoder:
     def named_arrays(self):
         """(name, array) for every parameter and running statistic, in one
         fixed order: the tensors of a checkpoint and the fingerprint's input."""
-        stacks = [("encoder", self.encoder), ("decoder", self.decoder)]
-        if self.adversary is not None:
-            stacks.append(("adversary", self.adversary))
-        for stack_name, stack in stacks:
-            for i, layer in enumerate(stack):
-                prefix = f"{stack_name}.{i}"
-                if isinstance(layer, DenseLayer):
-                    yield f"{prefix}.weights", layer.weights.data
-                    yield f"{prefix}.bias", layer.bias.data
-                elif isinstance(layer, BatchNormLayer):
-                    yield f"{prefix}.gamma", layer.gamma.data
-                    yield f"{prefix}.beta", layer.beta.data
-                    yield f"{prefix}.running_mean", layer.running_mean
-                    yield f"{prefix}.running_var", layer.running_var
+        for stack_name in ("encoder", "decoder", "adversary"):
+            for i, layer in enumerate(getattr(self, stack_name) or []):
+                for name, a in layer.named_arrays():
+                    yield f"{stack_name}.{i}.{name}", a
 
     def fingerprint(self) -> str:
         """SHA-256 over `named_arrays()`, each as float64."""
@@ -201,15 +186,10 @@ class GenerativeAutoencoder:
 
     # -- forward passes ---------------------------------------------------------
 
-    def _run(self, stack, x: Tensor, rng: Rng | None = None,
-             dropout_active: bool = False, update_running: bool = False) -> Tensor:
+    def _run(self, stack, x: Tensor, *, rng: Rng | None = None,
+             active: bool = False, update_running: bool = False) -> Tensor:
         for layer in stack:
-            if isinstance(layer, BatchNormLayer):
-                x = layer(x, update_running=update_running)
-            elif isinstance(layer, Dropout):
-                x = layer(x, rng=rng, active=dropout_active)
-            else:
-                x = layer(x)
+            x = layer(x, rng=rng, active=active, update_running=update_running)
         return x
 
     def encoder_head(self, x: Tensor, update_running: bool = False) -> Tensor:
@@ -245,30 +225,22 @@ def _dim(v) -> int:
         raise ContractViolation(f"dimensions must be integers, got {v!r}") from None
 
 
-def _mlp(rng: Rng, in_dim: int, hidden: tuple[int, ...], out_dim: int,
-         norm: bool, dtype) -> list:
-    stack: list = []
-    prev = in_dim
-    for h in hidden:
-        stack.append(DenseLayer(prev, h, rng, dtype))
-        if norm:
-            stack.append(BatchNormLayer(h, dtype=dtype))
-        stack.append(Activation("relu"))
-        prev = h
-    stack.append(DenseLayer(prev, out_dim, rng, dtype))
-    return stack
+def _params(stack) -> list[Tensor]:
+    return [p for layer in stack for p in layer.params()]
 
 
-def _adversary(rng: Rng, in_dim: int, hidden: tuple[int, ...], dtype) -> list:
+def _stack(rng: Rng, dims: tuple[int, ...], dtype, adversary: bool = False) -> list:
+    """Dense layers through the widths `dims`. Each hidden width is followed
+    by batch norm and ReLU, or in the adversary by leaky ReLU and dropout;
+    the adversary ends in a sigmoid."""
     stack: list = []
-    prev = in_dim
-    for h in hidden:
-        stack.append(DenseLayer(prev, h, rng, dtype))
-        stack.append(Activation("leaky_relu", 0.2))
-        stack.append(Dropout(0.5))
-        prev = h
-    stack.append(DenseLayer(prev, 1, rng, dtype))
-    stack.append(Activation("sigmoid"))
+    for i in range(1, len(dims)):
+        stack.append(DenseLayer(dims[i - 1], dims[i], rng, dtype))
+        if i < len(dims) - 1:
+            stack += ([Activation("leaky_relu", 0.2), Dropout(0.5)] if adversary
+                      else [BatchNormLayer(dims[i], dtype), Activation("relu")])
+    if adversary:
+        stack.append(Activation("sigmoid"))
     return stack
 
 
@@ -332,7 +304,7 @@ def adversary_score(model: GenerativeAutoencoder, z: Tensor,
         )
     if train and rng is None:
         raise ContractViolation("train-mode adversary needs an rng for dropout")
-    return model._run(model.adversary, z, rng=rng, dropout_active=train)
+    return model._run(model.adversary, z, rng=rng, active=train)
 
 
 def set_norm_mode(model: GenerativeAutoencoder, mode: str) -> None:
