@@ -27,8 +27,8 @@ from .data import (_CONFIG_KEYS, Dataset, RunOptions, _parse_count,
                    load_idx, parse_config, save_checkpoint, write_image_grid)
 from .errors import ContractViolation, LatentWalkError
 from .metrics import chain_diagnostics, write_report
-from .models import (GenerativeAutoencoder, PriorSpec, encode_mean,
-                     resolve_variant, set_norm_mode)
+from .models import (GenerativeAutoencoder, encode_mean, resolve_variant,
+                     set_norm_mode)
 from .objectives import CorruptionSpec, TrainConfig, corrupt, train_model
 from .oracle import run_oracle_suite
 from .rng import Rng
@@ -104,13 +104,6 @@ def _latent_dim(opts: RunOptions) -> int:
     if opts.latent_dim is not None:
         return opts.latent_dim
     return 2 if opts.dataset == "mixture" else 8
-
-
-def _image_shape(opts: RunOptions, data_dim: int) -> tuple[int, int] | None:
-    if opts.dataset == "mixture":
-        return None
-    side = math.isqrt(data_dim)
-    return (side, side) if side * side == data_dim else None
 
 
 def _write_csv(path: Path, array: np.ndarray, prefix: str) -> None:
@@ -196,7 +189,7 @@ def cmd_train(args) -> int:
                     outputs=[str(ckpt), str(losses)])
     stats = train_model(model, data, cfg, log_path=losses)
     save_checkpoint(model, ckpt, train_config=cfg,
-                    data_shape=_image_shape(opts, data.dim))
+                    data_shape=data.image_shape)
     final = stats[-1]
     print(f"trained {opts.variant} for {cfg.epochs} epochs "
           f"(final recon loss {final.recon_loss:.6f})")
@@ -206,11 +199,11 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     cfg, opts, out, model, shape = _open(args, "sample")
-    n = args.n or opts.chains
+    n = opts.chains
     _write_manifest(out, "sample", cfg, opts, inputs=[str(args.checkpoint)],
                     outputs=[str(out / "trace.bin")])
     rng = Rng(cfg.seed).derive("sample")
-    z0 = sample_prior(n, PriorSpec(model.latent_dim), rng)
+    z0 = sample_prior(n, model.prior, rng)
     snaps = _snapshot_steps(model, z0, opts.steps, cfg.corruption, rng,
                             trace_path=out / "trace.bin")
     render_rng = Rng(cfg.seed).derive("render")
@@ -268,15 +261,14 @@ def cmd_reconstruct(args) -> int:
     for stem, batch in (("clean", clean), ("corrupted", corrupted),
                         ("reconstructed", recon)):
         _write_batch(out, stem, batch, shape)
+    corr_err = np.sum((corrupted - clean) ** 2, axis=1)
+    rec_err = np.sum((recon - clean) ** 2, axis=1)
     with open(errors_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["index", "corruption_sq_error", "reconstruction_sq_error"])
-        for i in range(n):
-            corr_err = float(np.sum((corrupted[i] - clean[i]) ** 2))
-            rec_err = float(np.sum((recon[i] - clean[i]) ** 2))
-            writer.writerow([i, f"{corr_err:.17g}", f"{rec_err:.17g}"])
-    mean_corr = float(np.mean(np.sum((corrupted - clean) ** 2, axis=1)))
-    mean_rec = float(np.mean(np.sum((recon - clean) ** 2, axis=1)))
+        for i, (c, r) in enumerate(zip(corr_err.tolist(), rec_err.tolist())):
+            writer.writerow([i, f"{c:.17g}", f"{r:.17g}"])
+    mean_corr, mean_rec = float(np.mean(corr_err)), float(np.mean(rec_err))
     print(f"reconstructed {n} items: mean corruption error {mean_corr:.6f}, "
           f"mean reconstruction error {mean_rec:.6f}; outputs in {out}")
     return 0
@@ -293,14 +285,14 @@ def cmd_evaluate(args) -> int:
     n_ref = min(len(data), opts.chains)
     reference = LatentBatch(model.chain_encode(data.samples[:n_ref], rng),
                             provenance="encoded")
-    z0 = sample_prior(opts.chains, PriorSpec(model.latent_dim), rng)
+    z0 = sample_prior(opts.chains, model.prior, rng)
     # chain_diagnostics reads latents only: keep each step without its batches.
     steps = []
     trace = run_chain(model, z0, max(opts.steps), cfg.corruption, rng, keep=(),
                       sink=lambda step: steps.append(
                           replace(step, x=None, x_tilde=None)))
     trace.steps = steps
-    report = chain_diagnostics(trace, reference, PriorSpec(model.latent_dim),
+    report = chain_diagnostics(trace, reference, model.prior,
                                rng=Rng(cfg.seed).derive("metrics-prior"))
     write_report(report, report_path)
     first, last = report.mmd_to_encoded[0], report.mmd_to_encoded[-1]
@@ -340,13 +332,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "by walking a Markov chain in latent space.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def key(p, name, help=None, **kw):
-        """A flag that sets config key `name`, parsed by that key's parser."""
+    def key(p, name, help=None, *, aliases=(), **kw):
+        """A flag that sets config key `name`, parsed by that key's parser;
+        `aliases` are further option strings of the same flag."""
         parse = _CONFIG_KEYS[name]
         if hasattr(parse, "choices"):
             kw["metavar"] = "{" + ",".join(parse.choices) + "}"
-        p.add_argument("--" + name.replace("_", "-"), type=_flag_type(parse),
-                       help=help, **kw)
+        p.add_argument("--" + name.replace("_", "-"), *aliases,
+                       type=_flag_type(parse), help=help, **kw)
 
     def common(name, help):
         p = sub.add_parser(name, help=help)
@@ -361,14 +354,12 @@ def build_parser() -> argparse.ArgumentParser:
         key(p, "bn_mode")
         return p
 
-    count = _flag_type(_parse_count)
-
     p_train = common("train", "train a model variant")
     key(p_train, "variant")
     key(p_train, "corruption_variance")
 
     p_sample = walk("sample", "prior samples refined by the chain")
-    p_sample.add_argument("--n", type=count, help="number of parallel chains")
+    key(p_sample, "chains", "number of parallel chains", aliases=("--n",))
     key(p_sample, "steps", "comma-separated step indices (default 0,1,5,10)")
     key(p_sample, "corruption_variance")
 
@@ -381,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     key(p_interp, "steps")
 
     p_recon = walk("reconstruct", "denoise corrupted test items")
-    p_recon.add_argument("--n", type=count, default=16)
+    p_recon.add_argument("--n", type=_flag_type(_parse_count), default=16)
     key(p_recon, "corruption_variance")
 
     p_eval = walk("evaluate", "distribution metrics along the chain")

@@ -38,11 +38,13 @@ _IDX_UBYTE = 0x08
 
 @dataclass
 class Dataset:
-    """Rows of [0,1]-valued samples plus provenance."""
+    """Rows of [0,1]-valued samples plus provenance; `image_shape` is
+    (height, width) when each row is an image, else None."""
 
     samples: np.ndarray
     split: str = "train"
     source: str = ""
+    image_shape: tuple[int, int] | None = None
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -90,7 +92,8 @@ def gen_gaussian_mixture(n: int, k: int = 8, radius: float = 1.0,
 
 
 def load_idx(path: str | Path) -> Dataset:
-    """Parse a big-endian IDX file of unsigned bytes into rows scaled to [0,1]."""
+    """Parse a big-endian IDX file of unsigned bytes into rows scaled to [0,1];
+    a 3-dim file's rows are images of its last two sizes."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -110,7 +113,10 @@ def load_idx(path: str | Path) -> Dataset:
     if len(blob) < header_len:
         raise IdxFormatError("header truncated before dimension sizes", len(blob))
     dims = struct.unpack(f">{ndim}I", blob[4:header_len])
-    expected = int(np.prod(dims, dtype=np.int64))
+    for i in range(1, ndim):
+        if dims[i] == 0:
+            raise IdxFormatError(f"dimension {i} has size 0", 4 + 4 * i)
+    expected = math.prod(dims)
     actual = len(blob) - header_len
     if actual < expected:
         raise IdxFormatError(
@@ -121,12 +127,11 @@ def load_idx(path: str | Path) -> Dataset:
             f"trailing data: expected {expected} payload bytes, found {actual}",
             header_len + expected)
     data = np.frombuffer(blob, dtype=np.uint8, offset=header_len)
-    n = dims[0]
-    per_row = expected // n if n else 0
-    samples = data.astype(np.float64).reshape(n, max(per_row, 1)) / 255.0
+    samples = data.astype(np.float64).reshape(dims[0], math.prod(dims[1:])) / 255.0
     name = path.name.lower()
     split = "test" if ("t10k" in name or "test" in name) else "train"
-    return Dataset(samples, split=split, source=str(path))
+    return Dataset(samples, split=split, source=str(path),
+                   image_shape=dims[1:] if ndim == 3 else None)
 
 
 # -- image grids --------------------------------------------------------------------

@@ -97,6 +97,61 @@ def test_sample_produces_grids_and_trace(tmp_path, fast_cfg):
     assert latents.shape == (24, 2)
 
 
+@pytest.mark.parametrize("flag", ["--n", "--chains"])
+def test_sample_records_the_chains_it_walks(tmp_path, fast_cfg, flag):
+    """`--n` is an alias of `--chains`; the manifest used to record the
+    config's `chains` whatever `--n` said."""
+    run = _train(tmp_path, fast_cfg)
+    out = tmp_path / "samples"
+    code = main(["sample", "--checkpoint", str(run / "model.ckpt"),
+                 "--config", fast_cfg, flag, "3", "--out", str(out)])
+    assert code == 0
+    latents = np.loadtxt(out / "samples_step0_latents.csv", delimiter=",",
+                         skiprows=1, ndmin=2)
+    assert latents.shape[0] == 3
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["options"]["chains"] == 3
+
+
+def _idx_images(path, n, height, width):
+    images = np.random.default_rng(0).integers(0, 256, size=(n, height, width))
+    path.write_bytes(bytes([0, 0, 0x08, 3])
+                     + struct.pack(">3I", n, height, width)
+                     + images.astype(np.uint8).tobytes())
+
+
+@pytest.mark.parametrize("height,width", [(16, 64), (28, 20)])
+def test_image_shape_comes_from_the_idx_header(tmp_path, height, width):
+    """Not from the square root of the row length: a 16x64 set was saved
+    as 32x32 and a 28x20 set walked to CSV."""
+    idx = tmp_path / "images.idx"
+    _idx_images(idx, 24, height, width)
+    cfg = tmp_path / "images.cfg"
+    cfg.write_text(f"dataset = {idx}\nepochs = 1\nbatch_size = 8\n"
+                   f"hidden_dims = 8\nlatent_dim = 2\n")
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == 0
+    header = read_checkpoint_header(run / "model.ckpt")
+    assert header["data_shape"] == [height, width]
+    out = tmp_path / "samples"
+    assert main(["sample", "--checkpoint", str(run / "model.ckpt"),
+                 "--config", str(cfg), "--n", "3", "--steps", "0",
+                 "--out", str(out)]) == 0
+    grid = (out / "samples_step0.pgm").read_bytes()
+    assert grid.startswith(f"P5\n{3 * width + 2 * 2} {height}\n".encode())
+
+
+def test_train_on_an_idx_file_with_a_zero_size_exits_one(tmp_path, capsys):
+    idx = tmp_path / "images.idx"
+    idx.write_bytes(bytes([0, 0, 0x08, 3]) + struct.pack(">3I", 3, 0, 5))
+    cfg = tmp_path / "images.cfg"
+    cfg.write_text(f"dataset = {idx}\n")
+    assert main(["train", "--config", str(cfg),
+                 "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "byte offset 8" in err
+
+
 def _image_checkpoint(tmp_path, denoising=True):
     """An untrained 16x16 model: sampling cost depends only on the sizes."""
     model = GenerativeAutoencoder("vae", data_dim=256, latent_dim=4,

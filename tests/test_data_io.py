@@ -1,5 +1,6 @@
 """Datasets, binary containers, IDX parsing, image grids, and run configs."""
 
+import hashlib
 import json
 import struct
 import zlib
@@ -125,6 +126,28 @@ def test_idx_short_file(tmp_path):
     path.write_bytes(b"\x00\x00")
     with pytest.raises(IdxFormatError):
         load_idx(path)
+
+
+def test_idx_image_shape_comes_from_a_3_dim_header(tmp_path):
+    """A 3-dim file's rows are images of its last two sizes, square or not;
+    any other rank holds no images."""
+    path = tmp_path / "x.idx"
+    path.write_bytes(_idx_bytes((2, 16, 64), [7] * 2 * 16 * 64))
+    assert load_idx(path).image_shape == (16, 64)
+    path.write_bytes(_idx_bytes((2, 16), [7] * 2 * 16))
+    assert load_idx(path).image_shape is None
+    assert gen_gaussian_mixture(8).image_shape is None
+
+
+@pytest.mark.parametrize("dims", [(3, 0, 5), (3, 5, 0), (3, 0)])
+def test_idx_zero_size_after_the_first_is_rejected_at_its_offset(tmp_path,
+                                                                 dims):
+    """Used to escape as a raw `ValueError` from the reshape."""
+    path = tmp_path / "x.idx"
+    path.write_bytes(_idx_bytes(dims, []))
+    with pytest.raises(IdxFormatError) as err:
+        load_idx(path)
+    assert err.value.offset == 4 + 4 * dims.index(0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +279,55 @@ def test_checkpoint_header_echoes_run_settings(tmp_path, tiny_aae):
     assert header["model"] == tiny_aae.arch()
     assert header["train_config"] == asdict(cfg)
     assert header["data_shape"] == [10, 2]
+
+
+# The tensor names, order and shapes of two checkpoint architectures: old
+# checkpoints load only while `named_arrays()` keeps this layout.
+_VAE_LAYOUT = [
+    ("encoder.0.weights", (4, 5)), ("encoder.0.bias", (4,)),
+    ("encoder.1.gamma", (4,)), ("encoder.1.beta", (4,)),
+    ("encoder.1.running_mean", (4,)), ("encoder.1.running_var", (4,)),
+    ("encoder.3.weights", (3, 4)), ("encoder.3.bias", (3,)),
+    ("encoder.4.gamma", (3,)), ("encoder.4.beta", (3,)),
+    ("encoder.4.running_mean", (3,)), ("encoder.4.running_var", (3,)),
+    ("encoder.6.weights", (4, 3)), ("encoder.6.bias", (4,)),
+    ("decoder.0.weights", (4, 2)), ("decoder.0.bias", (4,)),
+    ("decoder.1.gamma", (4,)), ("decoder.1.beta", (4,)),
+    ("decoder.1.running_mean", (4,)), ("decoder.1.running_var", (4,)),
+    ("decoder.3.weights", (3, 4)), ("decoder.3.bias", (3,)),
+    ("decoder.4.gamma", (3,)), ("decoder.4.beta", (3,)),
+    ("decoder.4.running_mean", (3,)), ("decoder.4.running_var", (3,)),
+    ("decoder.6.weights", (5, 3)), ("decoder.6.bias", (5,))]
+_AAE_LAYOUT = ([(n, (2, 3) if n == "encoder.6.weights"
+                 else (2,) if n == "encoder.6.bias" else shape)
+                for n, shape in _VAE_LAYOUT]
+               + [("adversary.0.weights", (3, 2)), ("adversary.0.bias", (3,)),
+                  ("adversary.3.weights", (2, 3)), ("adversary.3.bias", (2,)),
+                  ("adversary.6.weights", (1, 2)), ("adversary.6.bias", (1,))])
+
+
+@pytest.mark.parametrize("variant,layout", [("vae", _VAE_LAYOUT),
+                                            ("aae", _AAE_LAYOUT)])
+def test_checkpoint_tensor_layout_is_pinned(variant, layout):
+    model = GenerativeAutoencoder(variant, data_dim=5, latent_dim=2,
+                                  hidden_dims=(4, 3), adversary_dims=(3, 2),
+                                  init_seed=1)
+    assert [(n, a.shape) for n, a in model.named_arrays()] == layout
+
+
+@pytest.mark.parametrize("model,digest", [
+    (dict(variant="aae", data_dim=6, latent_dim=2, hidden_dims=(5, 4),
+          adversary_dims=(3,), denoising=True, init_seed=3),
+     "26da2956b15d259e1198433b1a714c2cee94d6e5a70e601f7d6f49ceabd7cbfa"),
+    (dict(variant="vae", data_dim=6, latent_dim=2, hidden_dims=(5,),
+          init_seed=4, dtype=np.float32),
+     "ab1a36cb9ae4ab16b128d64322b9343f6de4f7391aa92abf7d433eb25090cb08"),
+], ids=["float64-daae", "float32-vae"])
+def test_fresh_checkpoint_bytes_are_pinned(tmp_path, model, digest):
+    """Init draws are elementwise, so these bytes do not depend on the BLAS."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(GenerativeAutoencoder(**model), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def _edit_model_entry(path, edit):

@@ -232,6 +232,20 @@ def test_activation_kinds():
         Activation("swish")
 
 
+@pytest.mark.parametrize("make", [lambda: DenseLayer(2, 2, Rng(0)),
+                                  lambda: BatchNormLayer(2),
+                                  lambda: Activation("relu"),
+                                  lambda: Dropout(0.5)],
+                         ids=["dense", "batchnorm", "activation", "dropout"])
+def test_every_layer_takes_the_same_flags(make):
+    """A model runs any stack with one call; a misspelt flag still fails."""
+    layer, x = make(), Tensor(np.ones((4, 2)))
+    out = layer(x, rng=Rng(1), active=False, update_running=False)
+    assert out.shape == (4, 2)
+    with pytest.raises(TypeError):
+        layer(x, update_runing=True)
+
+
 # ---------------------------------------------------------------------------
 # model construction
 
