@@ -27,10 +27,9 @@ from .objectives import (CorruptionSpec, EpochStats, TrainConfig,
                          recon_cross_entropy, recon_squared_error,
                          train_epoch, train_model, write_loss_log)
 from .optim import Adam
-from .oracle import (CheckResult, OracleModelAdapter, OracleSystem,
-                     oracle_sample_chain, oracle_transition_moments,
-                     random_contractive_system, run_oracle_suite,
-                     solve_stationary_cov, spectral_radius)
+from .oracle import (CheckResult, OracleSystem, oracle_sample_chain,
+                     oracle_transition_moments, random_contractive_system,
+                     run_oracle_suite, solve_stationary_cov, spectral_radius)
 from .rng import Rng
 from .tensor import Tensor, finite_diff_check
 

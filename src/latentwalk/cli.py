@@ -380,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     key(p_eval, "steps")
 
     p_oracle = common("oracle-check", "closed-form verification suite")
-    p_oracle.add_argument("--spectral-radius", type=float, default=0.5,
+    p_oracle.add_argument("--spectral-radius",
+                          type=_flag_type(_parse_number(float)), default=0.5,
                           help="contraction of the base system (>= 1 to "
                                "demonstrate divergence detection)")
     key(p_oracle, "chains", default=10_000)

@@ -532,16 +532,25 @@ def parse_config(source: str | Path, overrides: Mapping | None = None
                  ) -> tuple[TrainConfig, RunOptions]:
     """Parse `key = value` config text (a path to it, or the text itself).
 
-    Omitted keys keep their defaults (20 epochs; Adam 2e-4/0.5/0.999;
-    corruption variance 0.25). Unknown keys and bad values raise with the
-    1-based line number. `overrides` maps config keys to values already
+    A `str` that names an existing file is read as that file. Omitted keys
+    keep their defaults (20 epochs; Adam 2e-4/0.5/0.999; corruption variance
+    0.25). Unknown keys and bad values raise with the 1-based line number
+    (0 for the file itself). `overrides` maps config keys to values already
     parsed by the key's parser in `_CONFIG_KEYS`; they win over the text.
     """
-    if isinstance(source, str) and (not source.strip() or "=" in source
-                                    or "\n" in source):
+    try:
+        is_file = Path(source).is_file()
+    except OSError:  # text too long to name a path
+        is_file = False
+    if is_file:
+        try:
+            text = Path(source).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(
+                f"cannot read config file {str(source)!r}: {exc}", 0) from None
+    elif isinstance(source, str) and (not source.strip() or "=" in source
+                                      or "\n" in source):
         text = source
-    elif Path(source).is_file():
-        text = Path(source).read_text()
     else:
         raise ConfigError(f"config file not found: {str(source)!r}", 0)
 

@@ -87,12 +87,15 @@ class GenerativeAutoencoder:
                  adversary_dims: tuple[int, ...] = (64, 64),
                  denoising: bool = False, corruption_variance: float = 0.25,
                  init_seed: int = 0, dtype=np.float64):
-        variant = variant.lower()
-        if variant not in VARIANTS:
+        if not isinstance(variant, str) or variant.lower() not in VARIANTS:
             raise ContractViolation(f"unknown variant {variant!r}")
-        data_dim, latent_dim = _dim(data_dim), _dim(latent_dim)
-        hidden_dims = tuple(map(_dim, hidden_dims))
-        adversary_dims = tuple(map(_dim, adversary_dims))
+        if not isinstance(denoising, (bool, np.bool_)):
+            raise ContractViolation(f"denoising must be a bool, got {denoising!r}")
+        variant = variant.lower()
+        data_dim, latent_dim = _integer(data_dim), _integer(latent_dim)
+        init_seed = _integer(init_seed, "seeds")
+        hidden_dims = tuple(map(_integer, hidden_dims))
+        adversary_dims = tuple(map(_integer, adversary_dims))
         if data_dim < 1 or latent_dim < 1:
             raise ContractViolation("data_dim and latent_dim must be >= 1")
         if not hidden_dims:
@@ -118,7 +121,7 @@ class GenerativeAutoencoder:
         self.adversary_dims = adversary_dims
         self.denoising = bool(denoising)
         self.corruption_variance = float(corruption_variance)
-        self.init_seed = int(init_seed)
+        self.init_seed = init_seed
         self.prior = PriorSpec(latent_dim)
         self.dtype = np.dtype(dtype)
 
@@ -216,13 +219,13 @@ class GenerativeAutoencoder:
         return decode(self, Tensor(z, dtype=self.dtype)).data
 
 
-def _dim(v) -> int:
-    """A layer width as a Python int (so `arch()` is JSON): any integer type,
-    NumPy's included; anything else raises."""
+def _integer(v, what: str = "dimensions") -> int:
+    """A width or seed as a Python int (so `arch()` is JSON): any integer
+    type, NumPy's included; anything else raises."""
     try:
         return operator.index(v)
     except TypeError:
-        raise ContractViolation(f"dimensions must be integers, got {v!r}") from None
+        raise ContractViolation(f"{what} must be integers, got {v!r}") from None
 
 
 def _params(stack) -> list[Tensor]:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from latentwalk import (ConfigError, CorruptionSpec, DomainError,
-                        GenerativeAutoencoder, OracleModelAdapter, PriorSpec,
+                        GenerativeAutoencoder, OracleSystem, PriorSpec,
                         Rng, load_arrays, load_checkpoint, parse_config,
                         read_checkpoint_header, run_chain, sample_prior,
                         save_checkpoint)
@@ -207,20 +207,39 @@ def test_sample_on_a_descriptor_that_is_not_an_object_exits_one(tmp_path,
     assert "error:" in capsys.readouterr().err
 
 
-def test_sample_on_a_checkpoint_with_a_bad_data_shape_exits_one(tmp_path,
-                                                               capsys):
-    ckpt = _image_checkpoint(tmp_path)
+def _rewrite_header(ckpt, edit):
+    """Apply `edit` to the checkpoint's JSON header in place; the payload and
+    its checksum are untouched."""
     blob = ckpt.read_bytes()
     (head_len,) = struct.unpack("<I", blob[5:9])
     header = json.loads(blob[9:9 + head_len])
-    header["data_shape"] = 5
+    edit(header)
     head = json.dumps(header).encode()
     ckpt.write_bytes(blob[:5] + struct.pack("<I", len(head)) + head
                      + blob[9 + head_len:])
+
+
+def test_sample_on_a_checkpoint_with_a_bad_data_shape_exits_one(tmp_path,
+                                                               capsys):
+    ckpt = _image_checkpoint(tmp_path)
+    _rewrite_header(ckpt, lambda h: h.update(data_shape=5))
     code = main(["sample", "--checkpoint", str(ckpt),
                  "--out", str(tmp_path / "out")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [("variant", 5),
+                                          ("init_seed", "abc"),
+                                          ("denoising", "no")])
+def test_sample_on_a_malformed_model_descriptor_exits_one(tmp_path, capsys,
+                                                          field, value):
+    ckpt = _image_checkpoint(tmp_path)
+    _rewrite_header(ckpt, lambda h: h["model"].update({field: value}))
+    code = main(["sample", "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_sample_into_a_directory_it_cannot_create_exits_one(tmp_path, capsys):
@@ -415,14 +434,14 @@ def test_oracle_check_passes_by_default(tmp_path, capsys):
 def test_oracle_check_fails_cleanly_when_the_walk_raises(tmp_path, capsys,
                                                         monkeypatch):
     """A DomainError in check 4's decode of its 100 chains."""
-    decode = OracleModelAdapter.chain_decode
+    decode = OracleSystem.chain_decode
 
     def refuse_the_walk(self, z, rng):
         if len(z) == 100:
             raise DomainError("walk refused")
         return decode(self, z, rng)
 
-    monkeypatch.setattr(OracleModelAdapter, "chain_decode", refuse_the_walk)
+    monkeypatch.setattr(OracleSystem, "chain_decode", refuse_the_walk)
     code = main(["oracle-check", "--out", str(tmp_path / "oc"),
                  "--chains", "100"])
     assert code == 1
@@ -447,10 +466,14 @@ def test_oracle_check_flags_divergence(tmp_path, capsys):
 
 
 def test_oracle_check_rejects_a_radius_that_is_not_finite(tmp_path, capsys):
-    code = main(["oracle-check", "--out", str(tmp_path / "oc"),
-                 "--chains", "500", "--spectral-radius", "nan"])
-    assert code == 1
-    assert "finite" in capsys.readouterr().err
+    """A usage error, like every numeric flag: exit 2 before any output."""
+    for radius in ("nan", "inf", "1e400"):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", "--out", str(tmp_path / "oc"),
+                  "--chains", "500", "--spectral-radius", radius])
+        assert exc.value.code == 2
+        assert "argument --spectral-radius" in capsys.readouterr().err
+        assert not (tmp_path / "oc").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +498,15 @@ def test_bad_config_file_returns_one(tmp_path, capsys):
     code = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_config_file_that_is_not_utf8_returns_one(tmp_path, capsys):
+    bad = tmp_path / "bytes.cfg"
+    bad.write_bytes(b"\xff\xfe\x00epochs = 2\n")
+    code = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 0:") and str(bad) in err
 
 
 def test_a_plain_walk_takes_and_records_no_corruption(tmp_path, fast_cfg,

@@ -547,6 +547,17 @@ def test_parse_config_from_file(tmp_path):
     assert opts.chains == 123
 
 
+def test_parse_config_reads_a_str_path_under_a_directory_named_with_equals(
+        tmp_path):
+    """A str naming an existing file is that file, even when its path holds
+    `=` and so could pass for config text."""
+    path = tmp_path / "lr=0.1" / "fast.cfg"
+    path.parent.mkdir()
+    path.write_text("epochs = 3\n")
+    cfg, _ = parse_config(str(path))
+    assert cfg.epochs == 3
+
+
 def test_parse_config_unknown_key_reports_line(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config("epochs = 5\nnot_a_key = 1\n")

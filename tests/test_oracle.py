@@ -11,11 +11,11 @@ import threading
 import numpy as np
 import pytest
 
-from latentwalk import (ContractViolation, DivergenceError, LatentBatch,
-                        OracleModelAdapter, OracleSystem, Rng,
-                        oracle_sample_chain, oracle_transition_moments,
-                        random_contractive_system, run_chain, run_oracle_suite,
-                        solve_stationary_cov, spectral_radius)
+from latentwalk import (ContractViolation, CorruptionSpec, DivergenceError,
+                        LatentBatch, OracleSystem, Rng, oracle_sample_chain,
+                        oracle_transition_moments, random_contractive_system,
+                        run_chain, run_oracle_suite, solve_stationary_cov,
+                        spectral_radius)
 from latentwalk import oracle as oracle_module
 
 
@@ -162,23 +162,43 @@ def test_rectangular_system_roundtrip():
     assert path.shape == (6, 64, 2)
 
 
-def test_adapter_matches_direct_sampler_bitwise():
-    """The duck-typed adapter must replay the exact same draws."""
+def test_run_chain_on_the_system_matches_direct_sampler_bitwise():
+    """run_chain walks the system itself and replays the exact same draws."""
     sys = _half_identity(dec_var=1.0, corr_var=0.0)
     z0 = Rng(6).normal((128, 2))
     direct = oracle_sample_chain(sys, z0, steps=7, rng=Rng(7))
-    model = OracleModelAdapter(sys)
-    trace = run_chain(model, LatentBatch(z0), steps=7, rng=Rng(7))
+    trace = run_chain(sys, LatentBatch(z0), steps=7, rng=Rng(7))
     for t, z in enumerate(trace.latents()):
         assert np.array_equal(z, direct[t]), f"step {t} diverged"
 
 
-def test_adapter_reports_dims():
+def test_system_reports_rectangular_dims():
     sys = random_contractive_system(Rng(8), latent_dim=3, data_dim=6,
                                     target_radius=0.5)
-    model = OracleModelAdapter(sys)
-    assert model.latent_dim == 3
-    assert model.data_dim == 6
+    assert sys.latent_dim == 3
+    assert sys.data_dim == 6
+    assert sys.M.shape == (3, 3) and sys.Q.shape == (3, 3)
+
+
+@pytest.mark.parametrize("corruption", [0.0, 0.25])
+def test_rectangular_walk_replays_direct_sampler_under_both_kernels(corruption):
+    """A latent-3, data-6 system with decoder noise, walked by run_chain with
+    the plain kernel (spec None) or the denoising one, replays
+    oracle_sample_chain bit for bit."""
+    base = random_contractive_system(Rng(9), latent_dim=3, data_dim=6,
+                                     target_radius=0.7)
+    sys = OracleSystem(base.E, base.D, decoder_noise_variance=0.5,
+                       corruption_variance=corruption)
+    spec = CorruptionSpec(corruption) if corruption else None
+    z0 = Rng(10).normal((32, 3))
+    direct = oracle_sample_chain(sys, z0, steps=6, rng=Rng(11))
+    trace = run_chain(sys, LatentBatch(z0), steps=6, spec=spec, rng=Rng(11))
+    assert len(trace) == 6
+    for t, z in enumerate(trace.latents()):
+        assert np.array_equal(z, direct[t]), f"step {t} diverged"
+    for step in trace.steps:
+        assert step.x.shape == (32, 6)
+        assert (step.x_tilde is None) == (spec is None)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +210,12 @@ def test_suite_all_green():
     assert len(results) >= 6
     for r in results:
         assert r.passed, f"{r.name}: {r.detail}"
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+def test_suite_rejects_a_radius_that_is_not_finite(radius):
+    with pytest.raises(ContractViolation, match="finite"):
+        run_oracle_suite(seed=0, radius=radius, n_chains=100)
 
 
 def test_suite_detects_divergence():
@@ -225,8 +251,8 @@ def test_check_4_is_one_serial_walk_on_its_derived_stream(monkeypatch):
     assert counter == 0
     g = Rng(5).derive("oracle-suite").derive("chains0")
     assert np.array_equal(z0, g.normal((40_000, 2)))
-    serial = run_chain(OracleModelAdapter(_half_identity(dec_var=1.0)),
-                       LatentBatch(z0), 200, rng=g, keep=(200,))
+    serial = run_chain(_half_identity(dec_var=1.0), LatentBatch(z0), 200,
+                       rng=g, keep=(200,))
     assert np.array_equal(final, serial.steps[-1].z.values)
 
 
