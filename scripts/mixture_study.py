@@ -4,8 +4,9 @@ latent chains started from the prior walk to.
 
 For each variant the script reports the chain's distance (MMD) to the
 encoder's aggregate output distribution at step 0 and after a few steps,
-plus the covariance trace of the chain cloud, so you can see the walk
-contract onto the encoded cloud.
+plus the moment-matched KL to the prior. A denoising variant's walk
+re-encodes corrupted outputs, so its reference encodes corrupted held-out
+rows, as `latentwalk evaluate` does.
 
 Usage:
     python3 scripts/mixture_study.py --train-size 256 --epochs 20
@@ -19,8 +20,8 @@ from pathlib import Path
 
 from latentwalk import (CorruptionSpec, GenerativeAutoencoder, LatentBatch,
                         PriorSpec, Rng, TrainConfig, chain_diagnostics,
-                        gen_gaussian_mixture, resolve_variant, run_chain,
-                        sample_prior, set_norm_mode, train_model)
+                        corrupt, gen_gaussian_mixture, resolve_variant,
+                        run_chain, sample_prior, set_norm_mode, train_model)
 
 VARIANTS = ("vae", "dvae", "aae", "daae")
 
@@ -43,8 +44,11 @@ def study_variant(variant: str, args: argparse.Namespace) -> dict:
     rng = Rng(args.seed).derive(f"study-{variant}")
     held_out = gen_gaussian_mixture(args.eval_size, seed=args.seed,
                                     split="test")
-    reference = LatentBatch(model.chain_encode(held_out.samples, rng),
-                            provenance="encoded")
+    rows = held_out.samples
+    if corruption is not None:
+        rows = corrupt(rows, corruption,
+                       Rng(args.seed).derive(f"study-{variant}-reference"))
+    reference = LatentBatch(model.chain_encode(rows, rng), provenance="encoded")
     z0 = sample_prior(args.chains, PriorSpec(args.latent_dim), rng)
     trace = run_chain(model, z0, steps=args.steps, spec=corruption, rng=rng)
     report = chain_diagnostics(trace, reference, PriorSpec(args.latent_dim))

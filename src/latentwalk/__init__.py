@@ -19,13 +19,13 @@ from .errors import (CheckpointError, ChecksumError, ConfigError,
 from .metrics import (MetricsReport, chain_diagnostics, gaussian_kl_details,
                       gaussian_kl_to_prior, median_heuristic_bandwidth,
                       mmd_rbf, write_report)
-from .models import (GenerativeAutoencoder, PriorSpec, adversary_score,
-                     decode, encode_aae, encode_mean, encode_vae,
-                     resolve_variant, set_norm_mode)
-from .objectives import (CorruptionSpec, EpochStats, TrainConfig,
-                         adversarial_losses, corrupt, kl_prior_gaussian,
-                         recon_cross_entropy, recon_squared_error,
-                         train_epoch, train_model, write_loss_log)
+from .models import (CorruptionSpec, GenerativeAutoencoder, PriorSpec,
+                     adversary_score, decode, encode_aae, encode_mean,
+                     encode_vae, resolve_variant, set_norm_mode)
+from .objectives import (EpochStats, TrainConfig, adversarial_losses, corrupt,
+                         kl_prior_gaussian, recon_cross_entropy,
+                         recon_squared_error, train_epoch, train_model,
+                         write_loss_log)
 from .optim import Adam
 from .oracle import (CheckResult, OracleSystem, oracle_sample_chain,
                      oracle_transition_moments, random_contractive_system,

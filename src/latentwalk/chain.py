@@ -13,19 +13,17 @@ the closed-form linear-Gaussian verifier plugs in.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .errors import ContractViolation, DegenerateGeometryError
-from .models import PriorSpec
-from .objectives import CorruptionSpec, corrupt
+from .models import CorruptionSpec, PriorSpec
+from .objectives import corrupt
 from .rng import Rng
 
 _ANGLE_TOL = 1e-6
-_CHAIN_RE = re.compile(r"^chain\((\d+)\)$")
 
 
 @dataclass
@@ -142,11 +140,6 @@ def interpolation_grid(corners, rows: int, cols: int) -> LatentBatch:
     return LatentBatch(cells, provenance="interpolated")
 
 
-def _next_index(z: LatentBatch) -> int:
-    m = _CHAIN_RE.match(z.provenance)
-    return int(m.group(1)) + 1 if m else 1
-
-
 def _transition(model, z_t: LatentBatch, spec: CorruptionSpec | None,
                 rng: Rng) -> tuple[np.ndarray, np.ndarray | None, LatentBatch]:
     """Decode z_t, corrupt the output when `spec` is given, re-encode."""
@@ -158,7 +151,7 @@ def _transition(model, z_t: LatentBatch, spec: CorruptionSpec | None,
     x = model.chain_decode(z_t.values, rng)
     x_tilde = None if spec is None else corrupt(x, spec, rng)
     z_next = model.chain_encode(x if x_tilde is None else x_tilde, rng)
-    return x, x_tilde, LatentBatch(z_next, provenance=f"chain({_next_index(z_t)})")
+    return x, x_tilde, LatentBatch(z_next, provenance="chain")
 
 
 def transition_step(model, z_t: LatentBatch, rng: Rng) -> tuple[np.ndarray, LatentBatch]:

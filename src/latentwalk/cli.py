@@ -27,9 +27,9 @@ from .data import (_CONFIG_KEYS, Dataset, RunOptions, _parse_count,
                    load_idx, parse_config, save_checkpoint, write_image_grid)
 from .errors import ContractViolation, LatentWalkError
 from .metrics import chain_diagnostics, write_report
-from .models import (GenerativeAutoencoder, encode_mean, resolve_variant,
-                     set_norm_mode)
-from .objectives import CorruptionSpec, TrainConfig, corrupt, train_model
+from .models import (CorruptionSpec, GenerativeAutoencoder, encode_mean,
+                     resolve_variant, set_norm_mode)
+from .objectives import TrainConfig, corrupt, train_model
 from .oracle import run_oracle_suite
 from .rng import Rng
 from .tensor import Tensor
@@ -76,7 +76,7 @@ def _out_dir(args, default: str) -> Path:
 
 def _write_manifest(out: Path, subcommand: str, cfg: TrainConfig,
                     opts: RunOptions, inputs: list[str],
-                    outputs: list[str]) -> None:
+                    outputs: list[str], **facts) -> None:
     manifest = {
         "subcommand": subcommand,
         "seed": cfg.seed,
@@ -84,6 +84,7 @@ def _write_manifest(out: Path, subcommand: str, cfg: TrainConfig,
         "inputs": inputs,
         "outputs": outputs,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        **facts,
     }
     with open(out / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -278,13 +279,18 @@ def cmd_evaluate(args) -> int:
     cfg, opts, out, model, _ = _open(args, "evaluate")
     data = _load_split(opts, cfg.seed, "test")
     report_path = out / "report.csv"
+    kind = "clean" if cfg.corruption is None else "corrupted"
     _write_manifest(out, "evaluate", cfg, opts,
                     inputs=[str(args.checkpoint), data.source],
-                    outputs=[str(report_path)])
+                    outputs=[str(report_path)], reference=kind)
     rng = Rng(cfg.seed).derive("evaluate")
-    n_ref = min(len(data), opts.chains)
-    reference = LatentBatch(model.chain_encode(data.samples[:n_ref], rng),
-                            provenance="encoded")
+    rows = data.samples[:min(len(data), opts.chains)]
+    # A denoising walk re-encodes corrupted outputs, so it targets encodings
+    # of corrupted rows: the walk's own spec, on a stream of its own.
+    if cfg.corruption is not None:
+        rows = corrupt(rows, cfg.corruption,
+                       Rng(cfg.seed).derive("evaluate-reference"))
+    reference = LatentBatch(model.chain_encode(rows, rng), provenance="encoded")
     z0 = sample_prior(opts.chains, model.prior, rng)
     # chain_diagnostics reads latents only: keep each step without its batches.
     steps = []
@@ -294,7 +300,7 @@ def cmd_evaluate(args) -> int:
     trace.steps = steps
     report = chain_diagnostics(trace, reference, model.prior,
                                rng=Rng(cfg.seed).derive("metrics-prior"))
-    write_report(report, report_path)
+    write_report(replace(report, reference=kind), report_path)
     first, last = report.mmd_to_encoded[0], report.mmd_to_encoded[-1]
     print(f"evaluated {opts.chains} chains over {max(opts.steps)} steps: "
           f"mmd_to_encoded {first:.6f} -> {last:.6f}; report at {report_path}")

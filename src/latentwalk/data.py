@@ -24,8 +24,9 @@ from .chain import ChainStep, ChainTrace, LatentBatch, run_chain
 from .errors import (CheckpointError, ChecksumError, ConfigError,
                      ContractViolation, IdxFormatError, LatentWalkError,
                      VersionError)
-from .models import VARIANT_NAMES, GenerativeAutoencoder, resolve_variant
-from .objectives import (RECONSTRUCTION_LOSSES, CorruptionSpec, TrainConfig)
+from .models import (VARIANT_NAMES, CorruptionSpec, GenerativeAutoencoder,
+                     resolve_variant)
+from .objectives import RECONSTRUCTION_LOSSES, TrainConfig
 from .rng import Rng
 
 _MAGIC = b"GAEC"
@@ -417,7 +418,7 @@ def load_checkpoint(path: str | Path, with_header: bool = False):
     header, index = _read_container(path, "model")
     try:
         model = GenerativeAutoencoder(**header["model"])
-    except (TypeError, ContractViolation) as exc:
+    except (TypeError, OverflowError, ContractViolation) as exc:
         raise CheckpointError(f"{path}: malformed model descriptor ({exc})") from None
     named = list(model.named_arrays())
     listed = [(name, shape) for name, (shape, _) in index.items()]
@@ -503,7 +504,7 @@ _CONFIG_KEYS = {
     "beta1": _parse_decay,
     "beta2": _parse_decay,
     "epsilon": _parse_positive,
-    "seed": _parse_number(int),
+    "seed": _parse_number(int, 0, 2**64),
     "corruption_variance": _parse_variance,
     "reconstruction_loss": _parse_choice(RECONSTRUCTION_LOSSES),
     # run options
@@ -532,11 +533,14 @@ def parse_config(source: str | Path, overrides: Mapping | None = None
                  ) -> tuple[TrainConfig, RunOptions]:
     """Parse `key = value` config text (a path to it, or the text itself).
 
-    A `str` that names an existing file is read as that file. Omitted keys
-    keep their defaults (20 epochs; Adam 2e-4/0.5/0.999; corruption variance
-    0.25). Unknown keys and bad values raise with the 1-based line number
-    (0 for the file itself). `overrides` maps config keys to values already
-    parsed by the key's parser in `_CONFIG_KEYS`; they win over the text.
+    A `str` that names an existing file is read as that file. Any other
+    `str` is config text only when it is blank or holds a newline (so one
+    line of text must end in one); else it is a missing file, which is how a
+    mistyped path is reported. Omitted keys keep their defaults (20 epochs;
+    Adam 2e-4/0.5/0.999; corruption variance 0.25). Unknown keys and bad
+    values raise with the 1-based line number (0 for the file itself).
+    `overrides` maps config keys to values already parsed by the key's
+    parser in `_CONFIG_KEYS`; they win over the text.
     """
     try:
         is_file = Path(source).is_file()
@@ -548,8 +552,7 @@ def parse_config(source: str | Path, overrides: Mapping | None = None
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(
                 f"cannot read config file {str(source)!r}: {exc}", 0) from None
-    elif isinstance(source, str) and (not source.strip() or "=" in source
-                                      or "\n" in source):
+    elif isinstance(source, str) and (not source.strip() or "\n" in source):
         text = source
     else:
         raise ConfigError(f"config file not found: {str(source)!r}", 0)

@@ -128,6 +128,7 @@ class MetricsReport:
     n_prior: int
     prior_seed: int
     kl_regularized: bool = False
+    reference: str = "clean"  # or "corrupted": encodings of corrupted rows
 
 
 def chain_diagnostics(trace: ChainTrace, encoded_reference: LatentBatch,
@@ -189,6 +190,7 @@ def write_report(report: MetricsReport, path: str | Path) -> None:
         fh.write(f"# n_prior = {report.n_prior}\n")
         fh.write(f"# prior_seed = {report.prior_seed}\n")
         fh.write(f"# kl_regularized = {str(report.kl_regularized).lower()}\n")
+        fh.write(f"# reference = {report.reference}\n")
         writer = csv.writer(fh)
         writer.writerow(["step", "mmd_to_encoded", "mmd_to_prior",
                          "gaussian_kl_to_prior", "mean_norm", "cov_eigen_range"])

@@ -17,6 +17,7 @@ exp(log-sigma) so it is strictly positive for any finite head output.
 from __future__ import annotations
 
 import hashlib
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -75,6 +76,22 @@ class PriorSpec:
             raise ContractViolation(f"prior dim must be >= 1, got {self.dim}")
 
 
+@dataclass(frozen=True)
+class CorruptionSpec:
+    """Isotropic additive Gaussian corruption in data space. The one check
+    of a noise variance: a finite real number >= 0, not a bool."""
+
+    variance: float = 0.25
+
+    def __post_init__(self):
+        v = self.variance
+        if (isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real)
+                or not 0 <= v < np.inf):
+            raise ContractViolation(
+                f"a noise variance must be a finite number >= 0, got {v!r}")
+        object.__setattr__(self, "variance", float(v))
+
+
 class GenerativeAutoencoder:
     """One trained artifact: parameters plus the variant/denoising flags.
 
@@ -100,10 +117,6 @@ class GenerativeAutoencoder:
             raise ContractViolation("data_dim and latent_dim must be >= 1")
         if not hidden_dims:
             raise ContractViolation("at least one hidden layer is required")
-        if corruption_variance < 0 or not np.isfinite(corruption_variance):
-            raise ContractViolation(
-                f"corruption variance must be finite and >= 0, got {corruption_variance}"
-            )
         if dtype not in (np.float32, np.float64, "float32", "float64"):
             raise ContractViolation(f"unsupported dtype {dtype!r}")
         head_in = hidden_dims[-1]
@@ -120,7 +133,7 @@ class GenerativeAutoencoder:
         self.hidden_dims = hidden_dims
         self.adversary_dims = adversary_dims
         self.denoising = bool(denoising)
-        self.corruption_variance = float(corruption_variance)
+        self.corruption_variance = CorruptionSpec(corruption_variance).variance
         self.init_seed = init_seed
         self.prior = PriorSpec(latent_dim)
         self.dtype = np.dtype(dtype)

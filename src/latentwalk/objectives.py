@@ -20,27 +20,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContractViolation, DomainError
-from .models import (GenerativeAutoencoder, adversary_score, decode,
-                     encode_aae, encode_vae)
+from .models import (CorruptionSpec, GenerativeAutoencoder, adversary_score,
+                     decode, encode_aae, encode_vae)
 from .optim import Adam
 from .rng import Rng
 from . import tensor as T
 from .tensor import Tensor
 
 RECONSTRUCTION_LOSSES = ("cross_entropy", "squared_error")
-
-
-@dataclass(frozen=True)
-class CorruptionSpec:
-    """Isotropic additive Gaussian corruption in data space."""
-
-    variance: float = 0.25
-
-    def __post_init__(self):
-        if not np.isfinite(self.variance) or self.variance < 0:
-            raise ContractViolation(
-                f"corruption variance must be finite and >= 0, got {self.variance}"
-            )
 
 
 @dataclass

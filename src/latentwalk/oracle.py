@@ -21,7 +21,7 @@ import numpy as np
 
 from .chain import LatentBatch, run_chain
 from .errors import ContractViolation, DivergenceError
-from .objectives import CorruptionSpec
+from .models import CorruptionSpec
 from .rng import Rng
 
 # Each doubling squares the contraction; a contractive system converges long
@@ -50,15 +50,11 @@ class OracleSystem:
             raise ContractViolation(
                 f"E must be (b, a) and D (a, b); got {E.shape} and {D.shape}"
             )
-        for name, v in (("decoder_noise_variance", decoder_noise_variance),
-                        ("corruption_variance", corruption_variance)):
-            if not np.isfinite(v) or v < 0:
-                raise ContractViolation(f"{name} must be finite and >= 0, got {v}")
         self.E = E.copy()
         self.D = D.copy()
         self.latent_dim, self.data_dim = E.shape
-        self.decoder_noise_variance = float(decoder_noise_variance)
-        self.corruption_variance = float(corruption_variance)
+        self.decoder_noise_variance = CorruptionSpec(decoder_noise_variance).variance
+        self.corruption_variance = CorruptionSpec(corruption_variance).variance
         self.M = self.E @ self.D
         self.Q = (self.decoder_noise_variance + self.corruption_variance) \
             * (self.E @ self.E.T)

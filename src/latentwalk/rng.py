@@ -13,6 +13,8 @@ set stays in cache however large the request. A value depends only on
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import ContractViolation
@@ -45,7 +47,9 @@ class Rng:
     """
 
     def __init__(self, seed: int, counter: int = 0):
-        self.seed = np.uint64(seed & _MASK)
+        if not 0 <= operator.index(seed) <= _MASK:
+            raise ContractViolation(f"seed must lie in [0, 2**64 - 1], got {seed}")
+        self.seed = np.uint64(seed)
         self.counter = int(counter)
 
     def _reserve(self, n: int, size: int):

@@ -48,9 +48,9 @@ def test_transition_step_shapes(tiny_vae):
     x, z1 = transition_step(tiny_vae, z0, Rng(2))
     assert x.shape == (7, 2)
     assert z1.values.shape == (7, 2)
-    assert z1.provenance == "chain(1)"
+    assert z1.provenance == "chain"
     _, z2 = transition_step(tiny_vae, z1, Rng(3))
-    assert z2.provenance == "chain(2)"
+    assert z2.provenance == "chain"
 
 
 def test_denoising_step_records_corrupted_batch(tiny_vae):
@@ -59,7 +59,7 @@ def test_denoising_step_records_corrupted_batch(tiny_vae):
                                                CorruptionSpec(0.25), Rng(2))
     assert x_tilde.shape == x.shape
     assert not np.array_equal(x_tilde, x)
-    assert z1.provenance == "chain(1)"
+    assert z1.provenance == "chain"
 
 
 def test_zero_variance_denoising_matches_plain_step_bitwise(tiny_vae):
@@ -74,13 +74,14 @@ def test_zero_variance_denoising_matches_plain_step_bitwise(tiny_vae):
 
 
 def test_run_chain_records_every_step(tiny_vae):
+    """ChainStep.t numbers the steps; every step's latents say "chain"."""
     z0 = sample_prior(5, tiny_vae.prior, Rng(5))
-    trace = run_chain(tiny_vae, z0, steps=4, rng=Rng(6))
-    assert len(trace.steps) == 4
+    trace = run_chain(tiny_vae, z0, steps=100, rng=Rng(6))
     lat = trace.latents()
-    assert len(lat) == 5  # z0 plus four steps
+    assert len(lat) == 101  # z0 plus every step
     assert np.array_equal(lat[0], z0.values)
-    assert trace.steps[-1].z.provenance == "chain(4)"
+    assert [step.t for step in trace.steps] == list(range(1, 101))
+    assert {step.z.provenance for step in trace.steps} == {"chain"}
 
 
 def test_run_chain_is_seed_deterministic(tiny_vae):

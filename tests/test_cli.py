@@ -9,9 +9,11 @@ import pytest
 
 from latentwalk import (ConfigError, CorruptionSpec, DomainError,
                         GenerativeAutoencoder, OracleSystem, PriorSpec,
-                        Rng, load_arrays, load_checkpoint, parse_config,
-                        read_checkpoint_header, run_chain, sample_prior,
-                        save_checkpoint)
+                        Rng, corrupt, gen_gaussian_mixture, load_arrays,
+                        load_checkpoint, parse_config, read_checkpoint_header,
+                        run_chain, sample_prior, save_checkpoint,
+                        set_norm_mode)
+from latentwalk import cli as cli_module
 from latentwalk import data as data_module
 from latentwalk.cli import main
 
@@ -231,7 +233,12 @@ def test_sample_on_a_checkpoint_with_a_bad_data_shape_exits_one(tmp_path,
 
 @pytest.mark.parametrize("field, value", [("variant", 5),
                                           ("init_seed", "abc"),
-                                          ("denoising", "no")])
+                                          ("init_seed", -1),
+                                          ("init_seed", 2**64),
+                                          ("denoising", "no"),
+                                          ("corruption_variance", True),
+                                          ("corruption_variance", "x"),
+                                          ("corruption_variance", 10**400)])
 def test_sample_on_a_malformed_model_descriptor_exits_one(tmp_path, capsys,
                                                           field, value):
     ckpt = _image_checkpoint(tmp_path)
@@ -406,6 +413,39 @@ def test_evaluate_writes_report(tmp_path, fast_cfg):
     assert len(data_lines) == 2  # steps 0 and 1
 
 
+def test_evaluate_scores_a_denoising_walk_against_corrupted_rows(
+        tmp_path, fast_cfg, monkeypatch):
+    """The reference of a daae's walk encodes test rows corrupted by the
+    walk's spec on the stream "evaluate-reference", and the encoder draws
+    from the "evaluate" stream; a plain model's encodes clean rows."""
+    seen = []
+    original = cli_module.chain_diagnostics
+
+    def diagnostics(trace, reference, *args, **kwargs):
+        seen.append(reference.values)
+        return original(trace, reference, *args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "chain_diagnostics", diagnostics)
+    test_rows = gen_gaussian_mixture(64, seed=2, split="test").samples[:24]
+    for variant, kind in (("daae", "corrupted"), ("vae", "clean")):
+        run = _train(tmp_path, fast_cfg, variant=variant)
+        out = tmp_path / f"eval-{variant}"
+        assert main(["evaluate", "--checkpoint", str(run / "model.ckpt"),
+                     "--seed", "2", "--config", fast_cfg,
+                     "--out", str(out)]) == 0
+        model = load_checkpoint(run / "model.ckpt")
+        set_norm_mode(model, "train")
+        rows = test_rows
+        if kind == "corrupted":
+            rows = corrupt(rows, CorruptionSpec(model.corruption_variance),
+                           Rng(2).derive("evaluate-reference"))
+        expected = model.chain_encode(rows, Rng(2).derive("evaluate"))
+        assert np.array_equal(seen.pop(), expected)
+        assert f"# reference = {kind}\n" in (out / "report.csv").read_text()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["reference"] == kind
+
+
 def test_evaluate_is_seed_deterministic(tmp_path, fast_cfg):
     run = _train(tmp_path, fast_cfg)
     outs = []
@@ -476,6 +516,18 @@ def test_oracle_check_rejects_a_radius_that_is_not_finite(tmp_path, capsys):
         assert not (tmp_path / "oc").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_oracle_check_refuses_a_seed_outside_64_bits(tmp_path, capsys, seed):
+    """Seeds are not taken modulo 2**64: that would give two recorded seeds
+    one stream."""
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--out", str(tmp_path / "oc"),
+              "--chains", "500", "--seed", seed])
+    assert exc.value.code == 2
+    assert "argument --seed" in capsys.readouterr().err
+    assert not (tmp_path / "oc").exists()
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 
@@ -536,6 +588,8 @@ def test_a_plain_walk_takes_and_records_no_corruption(tmp_path, fast_cfg,
     ("variant", "gan", "must be one of"),
     ("corruption_variance", "nan", "non-finite"),
     ("bn_mode", "frozen", "must be one of"),
+    ("seed", "-1", "must be >= 0"),
+    ("seed", str(2**64), f"< {2**64}"),
     ("epochs", "0", "must be >= 1"),
     ("batch_size", "0", "must be >= 1"),
     ("corruption_variance", "-1", "must be >= 0"),
@@ -565,7 +619,7 @@ def test_flag_and_config_key_reject_the_same_values(tmp_path, capsys, key,
     flag = "--" + key.replace("_", "-")
     argv = (["train"] if key == "variant" else
             ["sample", "--checkpoint", str(tmp_path / "none.ckpt")])
-    if key in ("steps", "variant", "corruption_variance", "bn_mode"):
+    if key in ("steps", "variant", "corruption_variance", "bn_mode", "seed"):
         with pytest.raises(SystemExit) as exc:
             main([*argv, f"{flag}={value}", "--out", str(tmp_path / "o")])
         assert exc.value.code == 2

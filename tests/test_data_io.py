@@ -380,7 +380,7 @@ def test_export_trace_layout(tmp_path, tiny_vae):
         path = tmp_path / "trace.bin"
         trace = export_trace(tiny_vae, z0, 2, spec=spec, rng=Rng(4), path=path)
         arrays, extra = load_arrays(path)
-        # steps are numbered from 1, matching their chain(t) provenance
+        # steps are numbered from 1, as ChainStep.t numbers them
         names = {"z0", "step0001.x", "step0001.z", "step0002.x", "step0002.z"}
         if spec is not None:
             names |= {"step0001.x_tilde", "step0002.x_tilde"}
@@ -585,6 +585,18 @@ def test_parse_config_missing_file():
         parse_config("no/such/file.cfg")
     with pytest.raises(ConfigError):
         parse_config(Path("no/such/file.cfg"))
+
+
+def test_parse_config_takes_one_line_of_text_and_reports_a_mistyped_path():
+    """A str naming no file is text only when it is blank or holds a
+    newline, so a path with `=` in it is a missing file, not a key."""
+    cfg, _ = parse_config("epochs = 5\n")
+    assert cfg.epochs == 5
+    for source in ("no/lr=0.1/x.cfg", "epochs = 5"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(source)
+        assert err.value.line == 0
+        assert "config file not found" in str(err.value)
 
 
 def test_parse_config_malformed_line():

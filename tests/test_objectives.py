@@ -14,11 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentwalk import (ContractViolation, CorruptionSpec, DomainError,
-                        GenerativeAutoencoder, Rng, Tensor, TrainConfig,
-                        adversarial_losses, corrupt, gen_gaussian_mixture,
-                        kl_prior_gaussian, recon_cross_entropy,
-                        recon_squared_error, train_epoch, train_model,
-                        write_loss_log)
+                        GenerativeAutoencoder, OracleSystem, Rng, Tensor,
+                        TrainConfig, adversarial_losses, corrupt,
+                        gen_gaussian_mixture, kl_prior_gaussian,
+                        recon_cross_entropy, recon_squared_error,
+                        train_epoch, train_model, write_loss_log)
 from latentwalk import objectives
 from latentwalk.objectives import init_train_state
 
@@ -47,6 +47,27 @@ def test_corruption_adds_the_declared_variance():
 def test_corruption_spec_validation():
     with pytest.raises(ContractViolation):
         CorruptionSpec(-1.0)
+
+
+@pytest.mark.parametrize("variance", [True, np.True_, "x", None, math.nan,
+                                      math.inf, -1], ids=repr)
+@pytest.mark.parametrize("build", [
+    CorruptionSpec,
+    lambda v: GenerativeAutoencoder("vae", 2, 2, corruption_variance=v),
+    lambda v: OracleSystem(np.eye(2), 0.5 * np.eye(2),
+                           decoder_noise_variance=v),
+    lambda v: OracleSystem(np.eye(2), 0.5 * np.eye(2), corruption_variance=v),
+], ids=["spec", "model", "oracle-decoder-noise", "oracle-corruption"])
+def test_every_noise_variance_goes_through_corruption_spec(build, variance):
+    with pytest.raises(ContractViolation):
+        build(variance)
+
+
+def test_corruption_spec_stores_a_float():
+    assert objectives.CorruptionSpec is CorruptionSpec
+    for v in (1, np.int64(0), np.float32(0.5)):
+        assert type(CorruptionSpec(v).variance) is float
+        assert CorruptionSpec(v).variance == v
 
 
 @settings(max_examples=20, deadline=None)

@@ -23,6 +23,15 @@ def test_equal_seeds_equal_streams(seed):
     assert np.array_equal(a.integers(0, 50, (100,)), b.integers(0, 50, (100,)))
 
 
+def test_seeds_outside_64_bits_are_refused_not_aliased():
+    for seed in (2**64, -1, 2**65 + 3):
+        with pytest.raises(ContractViolation):
+            Rng(seed)
+    with pytest.raises(TypeError):
+        Rng(3.5)
+    assert Rng(2**64 - 1).seed == np.uint64(2**64 - 1)
+
+
 def test_different_seeds_differ():
     assert not np.array_equal(Rng(0).uniform((64,)), Rng(1).uniform((64,)))
 
