@@ -22,8 +22,12 @@ from latentwalk import (CorruptionSpec, GenerativeAutoencoder, LatentBatch,
                         PriorSpec, Rng, TrainConfig, chain_diagnostics,
                         corrupt, gen_gaussian_mixture, resolve_variant,
                         run_chain, sample_prior, set_norm_mode, train_model)
+from latentwalk.cli import _flag_type
+from latentwalk.data import _CONFIG_KEYS, _parse_count
 
 VARIANTS = ("vae", "dvae", "aae", "daae")
+COUNT, SEED = _flag_type(_parse_count), _flag_type(_CONFIG_KEYS["seed"])
+VARIANCE = _flag_type(_CONFIG_KEYS["corruption_variance"])
 
 
 def study_variant(variant: str, args: argparse.Namespace) -> dict:
@@ -66,15 +70,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--variants", nargs="+", default=list(VARIANTS),
                         choices=VARIANTS)
-    parser.add_argument("--train-size", type=int, default=256)
-    parser.add_argument("--eval-size", type=int, default=500)
-    parser.add_argument("--epochs", type=int, default=20)
-    parser.add_argument("--batch-size", type=int, default=64)
-    parser.add_argument("--latent-dim", type=int, default=2)
-    parser.add_argument("--chains", type=int, default=500)
-    parser.add_argument("--steps", type=int, default=5)
-    parser.add_argument("--corruption-variance", type=float, default=0.25)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--train-size", type=COUNT, default=256)
+    parser.add_argument("--eval-size", type=COUNT, default=500)
+    parser.add_argument("--epochs", type=COUNT, default=20)
+    parser.add_argument("--batch-size", type=COUNT, default=64)
+    parser.add_argument("--latent-dim", type=COUNT, default=2)
+    parser.add_argument("--chains", type=COUNT, default=500)
+    parser.add_argument("--steps", type=COUNT, default=5)
+    parser.add_argument("--corruption-variance", type=VARIANCE, default=0.25)
+    parser.add_argument("--seed", type=SEED, default=0)
     parser.add_argument("--out", type=Path, help="directory for a CSV copy")
     args = parser.parse_args(argv)
 

@@ -21,6 +21,10 @@ import numpy as np
 from latentwalk import (DivergenceError, OracleSystem, Rng,
                         oracle_sample_chain, random_contractive_system,
                         solve_stationary_cov, spectral_radius)
+from latentwalk.cli import _flag_type
+from latentwalk.data import _CONFIG_KEYS, _parse_count
+
+COUNT, SEED = _flag_type(_parse_count), _flag_type(_CONFIG_KEYS["seed"])
 
 
 def sweep_row(radius: float, args: argparse.Namespace, rng: Rng) -> str:
@@ -50,11 +54,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--radii", type=float, nargs="+",
                         default=[0.2, 0.4, 0.6, 0.8, 0.9, 0.95])
-    parser.add_argument("--latent-dim", type=int, default=3)
-    parser.add_argument("--data-dim", type=int, default=5)
-    parser.add_argument("--chains", type=int, default=10_000)
-    parser.add_argument("--steps", type=int, default=300)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--latent-dim", type=COUNT, default=3)
+    parser.add_argument("--data-dim", type=COUNT, default=5)
+    parser.add_argument("--chains", type=COUNT, default=10_000)
+    parser.add_argument("--steps", type=COUNT, default=300)
+    parser.add_argument("--seed", type=SEED, default=0)
     args = parser.parse_args(argv)
 
     rng = Rng(args.seed).derive("oracle-sweep")

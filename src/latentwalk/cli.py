@@ -23,8 +23,9 @@ import numpy as np
 from .chain import LatentBatch, interpolation_grid, run_chain, sample_prior
 from .data import (_CONFIG_KEYS, Dataset, RunOptions, _parse_count,
                    _parse_int_list, _parse_number, _parse_positive,
-                   export_trace, gen_gaussian_mixture, load_checkpoint,
-                   load_idx, parse_config, save_checkpoint, write_image_grid)
+                   _read_config, export_trace, gen_gaussian_mixture,
+                   load_checkpoint, load_idx, parse_config, save_checkpoint,
+                   write_image_grid)
 from .errors import ContractViolation, LatentWalkError
 from .metrics import chain_diagnostics, write_report
 from .models import (CorruptionSpec, GenerativeAutoencoder, encode_mean,
@@ -57,11 +58,13 @@ def _indices_arg(text: str) -> tuple[int, ...]:
     return items
 
 
-def _resolve(args) -> tuple[TrainConfig, RunOptions]:
-    """Config file (if any) merged with the flags that set config keys."""
+def _resolve(args) -> tuple[TrainConfig, RunOptions, dict]:
+    """Config file (if any) merged with the flags that set config keys: the
+    settings, and the parsed value of each key that the file or a flag gave."""
     overrides = {k: v for k, v in vars(args).items()
                  if k in _CONFIG_KEYS and v is not None}
-    return parse_config(Path(args.config) if args.config else "", overrides)
+    given = _read_config(Path(args.config) if args.config else "", overrides)
+    return (*parse_config("", given), given)
 
 
 def _out_dir(args, default: str) -> Path:
@@ -146,20 +149,20 @@ def _open(args, subcommand: str):
     image shape, if any. The settings carry the model's variant,
     architecture, denoising flag and precision, not the config file's, and as
     `cfg.corruption` the corruption the command uses (the flag, else the
-    model's): the walk's kernel for a denoising model, None for a plain
-    model's walk, which does not corrupt. `reconstruct` always corrupts."""
-    cfg, opts = _resolve(args)
+    config key, else the model's): the walk's kernel for a denoising model,
+    None for a plain model's walk, which does not corrupt, and which refuses
+    both flag and key. `reconstruct` always corrupts."""
+    cfg, opts, given = _resolve(args)
     out = _out_dir(args, subcommand)
     model, header = load_checkpoint(args.checkpoint, with_header=True)
     set_norm_mode(model, opts.bn_mode)
-    variance = getattr(args, "corruption_variance", None)
     corrupts = model.denoising or subcommand == "reconstruct"
-    if variance is not None and not corrupts:
+    if "corruption_variance" in given and not corrupts:
         raise ContractViolation(
-            f"--corruption-variance: {model.name} is not a denoising model, "
-            f"so its walk does not corrupt")
-    corruption = CorruptionSpec(
-        model.corruption_variance if variance is None else variance)
+            f"--corruption-variance / corruption_variance: {model.name} is "
+            f"not a denoising model, so its walk does not corrupt")
+    corruption = CorruptionSpec(given.get("corruption_variance",
+                                          model.corruption_variance))
     cfg = replace(cfg, denoising=model.denoising,
                   corruption=corruption if corrupts else None)
     opts = replace(opts, variant=model.name, latent_dim=model.latent_dim,
@@ -174,7 +177,7 @@ def _open(args, subcommand: str):
 
 
 def cmd_train(args) -> int:
-    cfg, opts = _resolve(args)
+    cfg, opts, _ = _resolve(args)
     out = _out_dir(args, "train")
     data = _load_split(opts, cfg.seed, "train")
     base, denoising = resolve_variant(opts.variant)
@@ -308,7 +311,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    cfg, opts = _resolve(args)
+    cfg, opts, _ = _resolve(args)
     out = _out_dir(args, "oracle-check")
     checks_path = out / "checks.csv"
     _write_manifest(out, "oracle-check", cfg, opts, inputs=[],

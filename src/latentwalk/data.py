@@ -529,18 +529,17 @@ _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig)
                     if f.name in _CONFIG_KEYS)
 
 
-def parse_config(source: str | Path, overrides: Mapping | None = None
-                 ) -> tuple[TrainConfig, RunOptions]:
-    """Parse `key = value` config text (a path to it, or the text itself).
+def _read_config(source: str | Path, overrides: Mapping | None = None) -> dict:
+    """The keys that `key = value` config text (a path to it, or the text
+    itself) and `overrides` give, each with its parsed value.
 
     A `str` that names an existing file is read as that file. Any other
     `str` is config text only when it is blank or holds a newline (so one
     line of text must end in one); else it is a missing file, which is how a
-    mistyped path is reported. Omitted keys keep their defaults (20 epochs;
-    Adam 2e-4/0.5/0.999; corruption variance 0.25). Unknown keys and bad
-    values raise with the 1-based line number (0 for the file itself).
-    `overrides` maps config keys to values already parsed by the key's
-    parser in `_CONFIG_KEYS`; they win over the text.
+    mistyped path is reported. Unknown keys and bad values raise with the
+    1-based line number (0 for the file itself). `overrides` maps config
+    keys to values already parsed by their parsers in `_CONFIG_KEYS`; they
+    win over the text. A key that neither gives is absent.
     """
     try:
         is_file = Path(source).is_file()
@@ -578,7 +577,14 @@ def parse_config(source: str | Path, overrides: Mapping | None = None
     if unknown:
         raise ContractViolation(f"unknown config keys {unknown}")
     values.update(overrides)
+    return values
 
+
+def parse_config(source: str | Path, overrides: Mapping | None = None
+                 ) -> tuple[TrainConfig, RunOptions]:
+    """Settings from `_read_config(source, overrides)`; omitted keys keep
+    their defaults (20 epochs; Adam 2e-4/0.5/0.999; corruption 0.25)."""
+    values = _read_config(source, overrides)
     variant = values.get("variant", "vae")
     _, denoising = resolve_variant(variant)
     cfg = TrainConfig(

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractViolation, DomainError
+from .errors import ContractViolation
 from .models import (CorruptionSpec, GenerativeAutoencoder, adversary_score,
                      decode, encode_aae, encode_vae)
 from .optim import Adam
@@ -88,18 +88,18 @@ def kl_prior_gaussian(mu: Tensor, sigma: Tensor) -> Tensor:
     return T.gaussian_kl(mu, sigma)
 
 
-def adversarial_losses(d_real: Tensor, d_fake: Tensor) -> tuple[Tensor, Tensor]:
-    """Two-player losses from adversary scores (non-saturating generator form).
+def _label_loss(scores: Tensor, label: float) -> Tensor:
+    """Binary cross-entropy of adversary scores against one constant label."""
+    labels = Tensor(np.full_like(scores.data, label), dtype=scores.data.dtype)
+    return T.binary_cross_entropy(labels, scores)
 
-    disc_loss = -mean log d_real - mean log(1 - d_fake)
-    gen_loss  = -mean log d_fake
-    """
-    for name, s in (("d_real", d_real), ("d_fake", d_fake)):
-        if np.any(s.data <= 0.0) or np.any(s.data >= 1.0):
-            raise DomainError(f"{name} scores must lie strictly in (0,1)")
-    disc = T.scale(T.tmean(T.log(d_real)) + T.tmean(T.log(1.0 - d_fake)), -1.0)
-    gen = T.scale(T.tmean(T.log(d_fake)), -1.0)
-    return disc, gen
+
+def adversarial_losses(d_real: Tensor, d_fake: Tensor) -> tuple[Tensor, Tensor]:
+    """Cross-entropies of adversary scores against real = 1 and fake = 0:
+    disc_loss = BCE(1, d_real) + BCE(0, d_fake), and the non-saturating
+    gen_loss = BCE(1, d_fake)."""
+    return (_label_loss(d_real, 1.0) + _label_loss(d_fake, 0.0),
+            _label_loss(d_fake, 1.0))
 
 
 @dataclass
@@ -135,11 +135,6 @@ def init_train_state(model: GenerativeAutoencoder, cfg: TrainConfig) -> TrainSta
     return state
 
 
-def _reconstruction_fn(cfg: TrainConfig):
-    return recon_cross_entropy if cfg.reconstruction_loss == "cross_entropy" \
-        else recon_squared_error
-
-
 def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
                 state: TrainState, epoch: int = 1) -> EpochStats:
     """One pass over the data: one (VAE) or three (AAE) update steps per batch.
@@ -165,7 +160,8 @@ def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
     if cfg.batch_size > n:
         raise ContractViolation(f"batch_size {cfg.batch_size} exceeds dataset size {n}")
     rng = state.rng
-    loss_fn = _reconstruction_fn(cfg)
+    loss_fn = (recon_cross_entropy if cfg.reconstruction_loss == "cross_entropy"
+               else recon_squared_error)
 
     order = rng.permutation(n)
     n_batches = n // cfg.batch_size
@@ -208,7 +204,7 @@ def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
             state.opt_disc.step()
             # (iii) encoder against the updated adversary
             d_gen = adversary_score(model, z, rng=rng, train=True)
-            gen = T.scale(T.tmean(T.log(d_gen)), -1.0)
+            gen = _label_loss(d_gen, 1.0)
             state.opt_gen.zero_grad()
             gen.backward()
             state.opt_gen.step()

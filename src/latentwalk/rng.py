@@ -106,13 +106,6 @@ class Rng:
             out *= r
         return z if z.ndim else z[()]
 
-    def integers(self, low: int, high: int, shape=()) -> np.ndarray:
-        """Uniform integers in [low, high)."""
-        if high <= low:
-            raise ContractViolation(f"empty integer range [{low}, {high})")
-        u = self.uniform(shape)
-        return (low + np.floor(u * (high - low))).astype(np.int64)
-
     def permutation(self, n: int) -> np.ndarray:
         """A uniformly random permutation of range(n)."""
         return np.argsort(self.uniform((n,)), kind="stable")

@@ -652,6 +652,44 @@ def test_walk_manifests_record_the_corruption_the_walk_used(tmp_path, fast_cfg):
         assert manifest["config"]["train"]["corruption"] == {"variance": variance}
 
 
+def test_a_walk_takes_its_variance_from_the_config_key(tmp_path, fast_cfg):
+    """The walk's variance is the flag, else the config key, else the
+    checkpoint's: a dvae trained at 0.25 walks at a config's 0.9, which
+    changes the trace, and `--corruption-variance` wins over the key."""
+    ckpt = str(_train(tmp_path, fast_cfg, variant="dvae") / "model.ckpt")
+    keyed = tmp_path / "keyed.cfg"
+    keyed.write_text(FAST + "corruption_variance = 0.9\n")
+    runs = {}
+    for name, cfg, flags, variance in (
+            ("model", fast_cfg, [], 0.25), ("key", str(keyed), [], 0.9),
+            ("flag", str(keyed), ["--corruption-variance", "0.5"], 0.5)):
+        out = tmp_path / name
+        assert main(["sample", "--checkpoint", ckpt, "--config", cfg,
+                     "--out", str(out), *flags]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["train"]["corruption"] == {"variance": variance}
+        runs[name] = (out / "trace.bin").read_bytes()
+    assert len(set(runs.values())) == 3
+
+
+def test_a_plain_walk_refuses_the_config_key(tmp_path, fast_cfg, capsys):
+    """A plain model's walk does not corrupt, so a config that sets
+    `corruption_variance` is refused as the flag is; `reconstruct`, which
+    always corrupts, takes the key."""
+    ckpt = str(_train(tmp_path, fast_cfg) / "model.ckpt")
+    keyed = tmp_path / "keyed.cfg"
+    keyed.write_text(FAST + "corruption_variance = 0.9\n")
+    for sub in ("sample", "evaluate", "interpolate"):
+        assert main([sub, "--checkpoint", ckpt, "--config", str(keyed),
+                     "--out", str(tmp_path / sub)]) == 1
+        assert "corruption_variance" in capsys.readouterr().err
+    out = tmp_path / "reconstruct"
+    assert main(["reconstruct", "--checkpoint", ckpt, "--config", str(keyed),
+                 "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["train"]["corruption"] == {"variance": 0.9}
+
+
 @pytest.mark.parametrize("variant", ["dvae", "daae"])
 def test_walk_manifests_record_the_model_that_ran(tmp_path, fast_cfg, variant):
     """A walk's manifest names the checkpoint's variant and denoising flag

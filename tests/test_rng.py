@@ -20,7 +20,6 @@ def test_equal_seeds_equal_streams(seed):
     b = Rng(seed)
     assert np.array_equal(a.uniform((100,)), b.uniform((100,)))
     assert np.array_equal(a.normal((100,)), b.normal((100,)))
-    assert np.array_equal(a.integers(0, 50, (100,)), b.integers(0, 50, (100,)))
 
 
 def test_seeds_outside_64_bits_are_refused_not_aliased():
@@ -61,13 +60,6 @@ def test_uniform_range_and_normal_moments():
     z = Rng(9).normal((100_000,))
     assert abs(z.mean()) < 0.02
     assert abs(z.std() - 1.0) < 0.02
-
-
-def test_integers_cover_range():
-    draws = Rng(3).integers(0, 8, (10_000,))
-    assert set(np.unique(draws)) == set(range(8))
-    with pytest.raises(ContractViolation):
-        Rng(3).integers(5, 5, (1,))
 
 
 def test_permutation_is_a_permutation():

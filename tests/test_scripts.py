@@ -18,10 +18,25 @@ ROOT = Path(__file__).resolve().parents[1]
                           "--eval-size", "100"]),
 ])
 def test_script_runs(script, args):
-    path = os.pathsep.join(p for p in (str(ROOT / "src"),
-                                       os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script),
-                           *args], env=dict(os.environ, PYTHONPATH=path),
-                          capture_output=True, text=True, timeout=300)
+    proc = _run(script, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("script", ["oracle_sweep.py", "mixture_study.py"])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_script_refuses_a_seed_outside_64_bits_as_a_usage_error(script, seed):
+    """A script parses `--seed` with the `seed` key's parser, as `latentwalk`
+    does, so a bad value exits 2 before any work, with no traceback."""
+    proc = _run(script, ["--seed", seed])
+    assert proc.returncode == 2, proc.stderr
+    assert "argument --seed" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _run(script, args):
+    path = os.pathsep.join(p for p in (str(ROOT / "src"),
+                                       os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script),
+                           *args], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=300)

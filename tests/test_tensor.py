@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from latentwalk import ContractViolation, DomainError, Rng, Tensor
 from latentwalk import tensor as T
 from latentwalk.errors import ShapeMismatchError
+from latentwalk.objectives import adversarial_losses
 from latentwalk.tensor import finite_diff_check
 
 
@@ -325,6 +326,12 @@ def _kl_composite(mu, sigma):
     return T.scale(T.tmean(T.tsum(term, axis=1)), 0.5)
 
 
+def _adversarial_composite(d_real, d_fake):
+    # The adversary's former graph: the negated mean logs of the scores.
+    disc = T.scale(T.tmean(T.log(d_real)) + T.tmean(T.log(1.0 - d_fake)), -1.0)
+    return disc, T.scale(T.tmean(T.log(d_fake)), -1.0)
+
+
 def _fused_cases():
     """name -> (fused loss, composite loss, leaf arrays); both losses take
     the same leaf tensors and end in a scalar."""
@@ -333,6 +340,9 @@ def _fused_cases():
 
     def weigh(t):  # a scalar that weighs every output differently
         return T.tsum(t * Tensor(probe, dtype=t.data.dtype))
+
+    def both(disc, gen):  # one scalar from the adversary's two losses
+        return disc + T.scale(gen, 0.5)
 
     return {
         "dense": (
@@ -352,6 +362,11 @@ def _fused_cases():
         "gaussian_kl": (
             T.gaussian_kl, _kl_composite,
             [rng.normal(size=(6, 2)), np.exp(rng.normal(size=(6, 2)))]),
+        "adversarial_losses": (
+            lambda r, f: both(*adversarial_losses(r, f)),
+            lambda r, f: both(*_adversarial_composite(r, f)),
+            [rng.uniform(0.05, 0.95, size=(6, 1)),
+             rng.uniform(0.05, 0.95, size=(6, 1))]),
     }
 
 
@@ -407,6 +422,27 @@ def test_batch_norm_returns_the_batch_statistics(dtype):
     _, ref_mu, ref_var = _batch_norm_composite(x, gamma, beta, 1e-8)
     assert mu.shape == var.shape == (1, 3)
     assert mu.tobytes() == ref_mu.tobytes() and var.tobytes() == ref_var.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_adversarial_losses_keep_the_composite_bytes_at_64_rows(dtype):
+    """With a power-of-two batch, the fused gradient (-1/n) * (1/d) rounds
+    as the composite's (-1/n) / d does, so each loss and its gradients with
+    respect to the scores equal the composite graph's bit for bit. This is
+    what keeps an AAE's training bytes at batch 64."""
+    rng = np.random.default_rng(64)
+    scores = [rng.uniform(0.01, 0.99, size=(64, 1)) for _ in range(2)]
+    for which in (0, 1):  # disc, gen
+        runs = []
+        for losses in (adversarial_losses, _adversarial_composite):
+            leaves = [Tensor(a, requires_grad=True, dtype=dtype) for a in scores]
+            loss = losses(*leaves)[which]
+            loss.backward()
+            runs.append([loss.data.tobytes()] + [
+                None if leaf.grad is None else leaf.grad.tobytes()
+                for leaf in leaves])
+        assert runs[0] == runs[1]
+        assert runs[0][2] is not None  # d_fake is in both losses
 
 
 def test_fused_nodes_keep_their_domain_and_contract_checks():
