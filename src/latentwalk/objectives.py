@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, ShapeMismatchError
 from .models import (CorruptionSpec, GenerativeAutoencoder, adversary_score,
                      decode, encode_aae, encode_vae)
 from .optim import Adam
@@ -65,17 +65,13 @@ def corrupt(x: np.ndarray, spec: CorruptionSpec, rng: Rng) -> np.ndarray:
 
 def recon_cross_entropy(x: Tensor, x_hat: Tensor) -> Tensor:
     """-sum_coords [x log x_hat + (1-x) log(1-x_hat)], averaged over the batch."""
-    if x.data.shape != x_hat.data.shape:
-        raise ContractViolation(
-            f"shape mismatch {x.data.shape} vs {x_hat.data.shape}"
-        )
     return T.binary_cross_entropy(x, x_hat)
 
 
 def recon_squared_error(x: Tensor, x_hat: Tensor) -> Tensor:
     """Half the squared Euclidean distance per row, averaged over the batch."""
-    if x.data.shape != x_hat.data.shape:
-        raise ContractViolation(
+    if x.data.shape != x_hat.data.shape:  # `sub` would broadcast
+        raise ShapeMismatchError(
             f"shape mismatch {x.data.shape} vs {x_hat.data.shape}"
         )
     d = x_hat - x
@@ -198,7 +194,7 @@ def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
                             dtype=model.dtype)
             d_real = adversary_score(model, z_real, rng=rng, train=True)
             d_fake = adversary_score(model, z.detach(), rng=rng, train=True)
-            disc, _ = adversarial_losses(d_real, d_fake)
+            disc = _label_loss(d_real, 1.0) + _label_loss(d_fake, 0.0)
             state.opt_disc.zero_grad()
             disc.backward()
             state.opt_disc.step()

@@ -400,14 +400,20 @@ def test_reconstruct_reports_errors_per_sample(tmp_path, fast_cfg):
 # evaluate
 
 
-def test_evaluate_writes_report(tmp_path, fast_cfg):
-    run = _train(tmp_path, fast_cfg)
+@pytest.mark.parametrize("variant,reference", [
+    ("vae", "clean"), ("dvae", "corrupted"), ("aae", "clean"),
+    ("daae", "corrupted")])
+def test_evaluate_writes_report(tmp_path, fast_cfg, variant, reference):
+    """Train, walk and score, for every variant: a denoising model is scored
+    against encodings of corrupted rows."""
+    run = _train(tmp_path, fast_cfg, variant=variant)
     out = tmp_path / "eval"
     code = main(["evaluate", "--checkpoint", str(run / "model.ckpt"),
                  "--seed", "6", "--config", fast_cfg, "--out", str(out)])
     assert code == 0
     text = (out / "report.csv").read_text()
     assert "mmd_to_encoded" in text
+    assert f"# reference = {reference}" in text.splitlines()
     data_lines = [l for l in text.splitlines()
                   if l and not l.startswith("#") and not l.startswith("step")]
     assert len(data_lines) == 2  # steps 0 and 1

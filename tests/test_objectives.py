@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentwalk import (ContractViolation, CorruptionSpec, DomainError,
-                        GenerativeAutoencoder, OracleSystem, Rng, Tensor,
+                        GenerativeAutoencoder, OracleSystem, Rng,
+                        ShapeMismatchError, Tensor,
                         TrainConfig, adversarial_losses, corrupt,
                         gen_gaussian_mixture, kl_prior_gaussian,
                         recon_cross_entropy, recon_squared_error,
                         train_epoch, train_model, write_loss_log)
 from latentwalk import objectives
+from latentwalk import tensor as T
 from latentwalk.objectives import init_train_state
 
 
@@ -110,6 +112,14 @@ def test_cross_entropy_domain_checks():
         recon_cross_entropy(ok, Tensor(np.array([[1.0]])))
     with pytest.raises(ContractViolation):
         recon_cross_entropy(Tensor(np.array([[1.5]])), ok)
+
+
+@pytest.mark.parametrize("loss", [recon_cross_entropy, recon_squared_error])
+def test_reconstruction_losses_refuse_a_shape_mismatch_with_one_error_type(loss):
+    x = Tensor(np.full((3, 2), 0.5))
+    for x_hat in (np.full((3, 1), 0.5), np.full((1, 2), 0.5)):
+        with pytest.raises(ShapeMismatchError):
+            loss(x, Tensor(x_hat))
 
 
 def test_squared_error_oracle_value():
@@ -260,6 +270,18 @@ def test_aae_batch_encodes_once_per_encoder_update(tiny_aae, tiny_dataset,
     cfg = TrainConfig(epochs=1, batch_size=32)
     train_epoch(tiny_aae, tiny_dataset, cfg, state=init_train_state(tiny_aae, cfg))
     assert len(calls) == 2 * (len(tiny_dataset) // cfg.batch_size)
+
+
+def test_aae_batch_builds_four_cross_entropy_nodes(tiny_aae, tiny_dataset,
+                                                   monkeypatch):
+    """One each for the reconstruction, the adversary's real and fake scores
+    and the encoder's step: the adversary's step builds no generator loss."""
+    real, calls = T.binary_cross_entropy, []
+    monkeypatch.setattr(T, "binary_cross_entropy",
+                        lambda *a: calls.append(1) or real(*a))
+    cfg = TrainConfig(epochs=1, batch_size=len(tiny_dataset))
+    train_epoch(tiny_aae, tiny_dataset, cfg, state=init_train_state(tiny_aae, cfg))
+    assert len(calls) == 4
 
 
 @pytest.mark.parametrize("order", [(np.float32, np.float64),

@@ -13,9 +13,6 @@ ROOT = Path(__file__).resolve().parents[1]
 @pytest.mark.parametrize("script,args", [
     ("oracle_sweep.py", ["--radii", "0.5", "1.05", "--chains", "500",
                          "--steps", "50"]),
-    ("mixture_study.py", ["--variants", "vae", "daae", "--train-size", "128",
-                          "--epochs", "1", "--chains", "50",
-                          "--eval-size", "100"]),
 ])
 def test_script_runs(script, args):
     proc = _run(script, args)
@@ -23,7 +20,7 @@ def test_script_runs(script, args):
     assert proc.stdout.strip()
 
 
-@pytest.mark.parametrize("script", ["oracle_sweep.py", "mixture_study.py"])
+@pytest.mark.parametrize("script", ["oracle_sweep.py"])
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_script_refuses_a_seed_outside_64_bits_as_a_usage_error(script, seed):
     """A script parses `--seed` with the `seed` key's parser, as `latentwalk`
