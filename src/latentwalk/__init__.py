@@ -11,21 +11,19 @@ from .chain import (ChainStep, ChainTrace, LatentBatch,
 from .data import (Dataset, RunOptions, export_trace, gen_gaussian_mixture,
                    load_arrays, load_checkpoint, load_idx, parse_config,
                    read_checkpoint_header, save_arrays, save_checkpoint,
-                   write_image_grid)
+                   write_csv, write_image_grid, write_loss_log)
 from .errors import (CheckpointError, ChecksumError, ConfigError,
                      ContractViolation, DegenerateGeometryError,
                      DivergenceError, DomainError, IdxFormatError,
                      LatentWalkError, ShapeMismatchError, VersionError)
 from .metrics import (MetricsReport, chain_diagnostics, gaussian_kl_details,
-                      gaussian_kl_to_prior, median_heuristic_bandwidth,
-                      mmd_rbf, write_report)
+                      median_heuristic_bandwidth, mmd_rbf, write_report)
 from .models import (CorruptionSpec, GenerativeAutoencoder, PriorSpec,
                      adversary_score, decode, encode_aae, encode_mean,
                      encode_vae, resolve_variant, set_norm_mode)
 from .objectives import (EpochStats, TrainConfig, adversarial_losses, corrupt,
                          kl_prior_gaussian, recon_cross_entropy,
-                         recon_squared_error, train_epoch, train_model,
-                         write_loss_log)
+                         recon_squared_error, train_epoch, train_model)
 from .optim import Adam
 from .oracle import (CheckResult, OracleSystem, oracle_sample_chain,
                      oracle_transition_moments, random_contractive_system,

@@ -10,7 +10,6 @@ module error, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -25,7 +24,7 @@ from .data import (_CONFIG_KEYS, Dataset, RunOptions, _parse_count,
                    _parse_int_list, _parse_number, _parse_positive,
                    _read_config, export_trace, gen_gaussian_mixture,
                    load_checkpoint, load_idx, parse_config, save_checkpoint,
-                   write_image_grid)
+                   write_csv, write_image_grid, write_loss_log)
 from .errors import ContractViolation, LatentWalkError
 from .metrics import chain_diagnostics, write_report
 from .models import (CorruptionSpec, GenerativeAutoencoder, encode_mean,
@@ -110,12 +109,8 @@ def _latent_dim(opts: RunOptions) -> int:
     return 2 if opts.dataset == "mixture" else 8
 
 
-def _write_csv(path: Path, array: np.ndarray, prefix: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"{prefix}{i}" for i in range(array.shape[1])])
-        for row in array:
-            writer.writerow([f"{v:.17g}" for v in row])
+def _write_array_csv(path: Path, array: np.ndarray, prefix: str) -> None:
+    write_csv(path, [f"{prefix}{i}" for i in range(array.shape[1])], array)
 
 
 def _write_batch(out: Path, stem: str, batch: np.ndarray,
@@ -124,7 +119,7 @@ def _write_batch(out: Path, stem: str, batch: np.ndarray,
     """Image data: the first rows*cols items as a `{stem}.pgm` grid (`grid`,
     else 8 columns and the rows they need). Other data: `{stem}{csv_tag}.csv`."""
     if image_shape is None:
-        _write_csv(out / f"{stem}{csv_tag}.csv", batch, "x")
+        _write_array_csv(out / f"{stem}{csv_tag}.csv", batch, "x")
         return
     cols = min(len(batch), 8)
     rows, cols = grid or (math.ceil(len(batch) / cols), cols)
@@ -191,7 +186,8 @@ def cmd_train(args) -> int:
     losses = out / "losses.csv"
     _write_manifest(out, "train", cfg, opts, inputs=[data.source],
                     outputs=[str(ckpt), str(losses)])
-    stats = train_model(model, data, cfg, log_path=losses)
+    stats = train_model(model, data, cfg)
+    write_loss_log(losses, stats)
     save_checkpoint(model, ckpt, train_config=cfg,
                     data_shape=data.image_shape)
     final = stats[-1]
@@ -216,7 +212,7 @@ def cmd_sample(args) -> int:
         _write_batch(out, f"samples_step{s}", decoded, shape,  # first 64
                      grid=(min(math.ceil(n / 8), 8), min(n, 8)),
                      csv_tag="_decoded")
-        _write_csv(out / f"samples_step{s}_latents.csv", latents, "z")
+        _write_array_csv(out / f"samples_step{s}_latents.csv", latents, "z")
     print(f"sampled {n} chains at steps {','.join(map(str, snaps))}; "
           f"outputs in {out}")
     return 0
@@ -243,7 +239,7 @@ def cmd_interpolate(args) -> int:
         _write_batch(out, f"grid_step{s}", decoded, shape,
                      grid=(args.rows, args.cols), csv_tag="_decoded")
         if shape is None:
-            _write_csv(out / f"grid_step{s}_latents.csv", latents, "z")
+            _write_array_csv(out / f"grid_step{s}_latents.csv", latents, "z")
     print(f"interpolated {args.rows}x{args.cols} grid at steps "
           f"{','.join(map(str, snaps))}; outputs in {out}")
     return 0
@@ -267,11 +263,9 @@ def cmd_reconstruct(args) -> int:
         _write_batch(out, stem, batch, shape)
     corr_err = np.sum((corrupted - clean) ** 2, axis=1)
     rec_err = np.sum((recon - clean) ** 2, axis=1)
-    with open(errors_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "corruption_sq_error", "reconstruction_sq_error"])
-        for i, (c, r) in enumerate(zip(corr_err.tolist(), rec_err.tolist())):
-            writer.writerow([i, f"{c:.17g}", f"{r:.17g}"])
+    write_csv(errors_path,
+              ["index", "corruption_sq_error", "reconstruction_sq_error"],
+              zip(range(n), corr_err, rec_err))
     mean_corr, mean_rec = float(np.mean(corr_err)), float(np.mean(rec_err))
     print(f"reconstructed {n} items: mean corruption error {mean_corr:.6f}, "
           f"mean reconstruction error {mean_rec:.6f}; outputs in {out}")
@@ -319,13 +313,10 @@ def cmd_oracle_check(args) -> int:
     results = run_oracle_suite(seed=cfg.seed, radius=args.spectral_radius,
                                n_chains=args.chains, tol_cov=args.tol_cov)
     width = max(len(r.name) for r in results)
-    with open(checks_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check", "passed", "detail"])
-        for r in results:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status}  {r.name:<{width}}  {r.detail}")
-            writer.writerow([r.name, str(r.passed).lower(), r.detail])
+    for r in results:
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
+    write_csv(checks_path, ["check", "passed", "detail"],
+              ((r.name, r.passed, r.detail) for r in results))
     failed = [r for r in results if not r.passed]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 1 if failed else 0

@@ -1,4 +1,5 @@
-"""Datasets, image grids, checkpoints, array dumps, and run configuration.
+"""Datasets, image grids, CSV tables, checkpoints, array dumps, and run
+configuration.
 
 One binary container format (magic ``GAEC``, version byte, JSON descriptor,
 little-endian float64 payload, CRC-32 trailer) backs both model checkpoints
@@ -9,12 +10,13 @@ produces every container, so a chain is written step by step as it runs.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import struct
 import zlib
 from collections.abc import Iterable, Mapping
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from functools import partial
 from pathlib import Path
 
@@ -26,7 +28,7 @@ from .errors import (CheckpointError, ChecksumError, ConfigError,
                      VersionError)
 from .models import (VARIANT_NAMES, CorruptionSpec, GenerativeAutoencoder,
                      resolve_variant)
-from .objectives import RECONSTRUCTION_LOSSES, TrainConfig
+from .objectives import RECONSTRUCTION_LOSSES, EpochStats, TrainConfig
 from .rng import Rng
 
 _MAGIC = b"GAEC"
@@ -170,6 +172,37 @@ def write_image_grid(path: str | Path, images: np.ndarray, rows: int, cols: int,
             as_bytes[i].reshape(height, width)
     header = f"P5\n{grid_w} {grid_h}\n255\n".encode("ascii")
     Path(path).write_bytes(header + canvas.tobytes())
+
+
+# -- tables ---------------------------------------------------------------------------
+
+
+def _cell(v):
+    """A float (NumPy's too) with 17 significant digits, None as an empty
+    cell, a bool as true/false; anything else as is."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return f"{v:.17g}"
+    return "" if v is None else v
+
+
+def write_csv(path: str | Path, header: Iterable, rows: Iterable[Iterable],
+              meta: Iterable[tuple[str, object]] = ()) -> None:
+    """The one table writer: a `# key = value` line (LF) per `meta` pair,
+    then the header and the rows as CSV lines (CRLF), each cell by `_cell`."""
+    with open(path, "w", newline="") as fh:
+        for key, value in meta:
+            fh.write(f"# {key} = {_cell(value)}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
+
+
+def write_loss_log(path: str | Path, stats: list[EpochStats]) -> None:
+    """One row per epoch; loss fields the variant does not have stay empty."""
+    write_csv(path, [f.name for f in fields(EpochStats)],
+              (astuple(s) for s in stats))
 
 
 # -- binary container (checkpoints and array dumps) -----------------------------------

@@ -9,13 +9,13 @@ later step.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .chain import ChainTrace, LatentBatch
+from .data import write_csv
 from .errors import ContractViolation
 from .models import PriorSpec
 from .rng import Rng
@@ -107,11 +107,6 @@ def gaussian_kl_details(samples: np.ndarray) -> tuple[float, bool]:
     return max(float(kl), 0.0), regularized
 
 
-def gaussian_kl_to_prior(samples: np.ndarray) -> float:
-    """Moment-matched Gaussian KL to the unit prior; see gaussian_kl_details."""
-    return gaussian_kl_details(samples)[0]
-
-
 @dataclass
 class MetricsReport:
     """Per-step series over a chain (index 0 = starting batch) plus metadata."""
@@ -183,23 +178,10 @@ def chain_diagnostics(trace: ChainTrace, encoded_reference: LatentBatch,
 
 def write_report(report: MetricsReport, path: str | Path) -> None:
     """CSV serialization: '#' metadata lines, a header row, one row per step."""
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# bandwidth = {report.bandwidth:.17g}\n")
-        fh.write(f"# n_chain = {report.n_chain}\n")
-        fh.write(f"# n_reference = {report.n_reference}\n")
-        fh.write(f"# n_prior = {report.n_prior}\n")
-        fh.write(f"# prior_seed = {report.prior_seed}\n")
-        fh.write(f"# kl_regularized = {str(report.kl_regularized).lower()}\n")
-        fh.write(f"# reference = {report.reference}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["step", "mmd_to_encoded", "mmd_to_prior",
-                         "gaussian_kl_to_prior", "mean_norm", "cov_eigen_range"])
-        for i, step in enumerate(report.steps):
-            writer.writerow([
-                step,
-                f"{report.mmd_to_encoded[i]:.17g}",
-                f"{report.mmd_to_prior[i]:.17g}",
-                f"{report.gaussian_kl_to_prior[i]:.17g}",
-                f"{report.mean_norm[i]:.17g}",
-                f"{report.cov_eigen_range[i]:.17g}",
-            ])
+    columns = ["mmd_to_encoded", "mmd_to_prior", "gaussian_kl_to_prior",
+               "mean_norm", "cov_eigen_range"]
+    meta = [(k, getattr(report, k)) for k in
+            ("bandwidth", "n_chain", "n_reference", "n_prior", "prior_seed",
+             "kl_regularized", "reference")]
+    write_csv(path, ["step", *columns],
+              zip(report.steps, *(getattr(report, c) for c in columns)), meta)

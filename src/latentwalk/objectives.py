@@ -12,9 +12,7 @@ counterparts draw for draw.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -213,26 +211,9 @@ def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
                       disc_loss=float(means[2]), gen_loss=float(means[3]))
 
 
-def train_model(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
-                log_path: str | Path | None = None) -> list[EpochStats]:
-    """Full training run; returns one EpochStats per epoch and optionally logs them."""
+def train_model(model: GenerativeAutoencoder, dataset,
+                cfg: TrainConfig) -> list[EpochStats]:
+    """Full training run; returns one EpochStats per epoch."""
     state = init_train_state(model, cfg)
-    stats = [train_epoch(model, dataset, cfg, state=state, epoch=e)
-             for e in range(1, cfg.epochs + 1)]
-    if log_path is not None:
-        write_loss_log(log_path, stats)
-    return stats
-
-
-def write_loss_log(path: str | Path, stats: list[EpochStats]) -> None:
-    """Comma-separated epoch log; inapplicable loss fields stay empty."""
-
-    def fmt(v: Optional[float]) -> str:
-        return "" if v is None else f"{v:.17g}"
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "recon_loss", "prior_loss", "disc_loss", "gen_loss"])
-        for s in stats:
-            writer.writerow([s.epoch, fmt(s.recon_loss), fmt(s.prior_loss),
-                             fmt(s.disc_loss), fmt(s.gen_loss)])
+    return [train_epoch(model, dataset, cfg, state=state, epoch=e)
+            for e in range(1, cfg.epochs + 1)]

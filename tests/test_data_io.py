@@ -1,4 +1,5 @@
-"""Datasets, binary containers, IDX parsing, image grids, and run configs."""
+"""Datasets, binary containers, IDX parsing, image grids, CSV tables, and run
+configs."""
 
 import hashlib
 import json
@@ -20,7 +21,7 @@ from latentwalk import (CheckpointError, ChecksumError, ConfigError,
                         load_arrays, load_checkpoint, load_idx, parse_config,
                         read_checkpoint_header, resolve_variant, run_chain,
                         sample_prior, save_arrays, save_checkpoint,
-                        write_image_grid)
+                        write_csv, write_image_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +189,28 @@ def test_image_grid_validation(tmp_path):
     with pytest.raises(ContractViolation):
         write_image_grid(tmp_path / "g.pgm", np.zeros((1, 4)), rows=1, cols=1,
                          height=3, width=3)  # 4 != 9
+
+
+# ---------------------------------------------------------------------------
+# tables
+
+
+def test_write_csv_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["n", "x", "x32", "loss", "ok", "name"],
+              [(3, 0.1, np.float32(0.1), None, True, "a,b"),
+               (np.int64(4), np.float64(2.5), np.float32(-1.5), 1e-20, False,
+                "c")],
+              meta=[("bandwidth", 0.25), ("n_chain", 3), ("flag", False),
+                    ("reference", "clean")])
+    assert path.read_bytes() == (
+        b"# bandwidth = 0.25\n"
+        b"# n_chain = 3\n"
+        b"# flag = false\n"
+        b"# reference = clean\n"
+        b"n,x,x32,loss,ok,name\r\n"
+        b'3,0.10000000000000001,0.10000000149011612,,true,"a,b"\r\n'
+        b"4,2.5,-1.5,9.9999999999999995e-21,false,c\r\n")
 
 
 # ---------------------------------------------------------------------------

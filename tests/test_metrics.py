@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentwalk import (ContractViolation, LatentBatch, PriorSpec, Rng,
-                        chain_diagnostics, gaussian_kl_to_prior,
+                        chain_diagnostics, gaussian_kl_details,
                         median_heuristic_bandwidth, mmd_rbf, run_chain,
                         sample_prior, write_report)
-from latentwalk.metrics import _kernel_mean, gaussian_kl_details
+from latentwalk.metrics import _kernel_mean
 
 
 # ---------------------------------------------------------------------------
@@ -110,12 +110,12 @@ def test_kl_oracle_mean_shift():
 def test_kl_oracle_inflated_variance():
     samples = Rng(14).normal((200_000, 1)) * 2.0
     expected = 0.5 * (4.0 - 1.0 - math.log(4.0))
-    assert abs(gaussian_kl_to_prior(samples) - expected) < 0.02
+    assert abs(gaussian_kl_details(samples)[0] - expected) < 0.02
 
 
 def test_kl_zero_for_prior_samples():
     samples = Rng(15).normal((200_000, 3))
-    assert gaussian_kl_to_prior(samples) < 0.01
+    assert gaussian_kl_details(samples)[0] < 0.01
 
 
 def test_kl_regularizes_degenerate_covariance():
@@ -127,13 +127,13 @@ def test_kl_regularizes_degenerate_covariance():
 
 def test_kl_requires_more_rows_than_dims():
     with pytest.raises(ContractViolation):
-        gaussian_kl_to_prior(np.zeros((2, 2)))
+        gaussian_kl_details(np.zeros((2, 2)))
 
 
 def test_kl_never_negative():
     for seed in range(10):
         samples = Rng(seed).normal((64, 4))
-        assert gaussian_kl_to_prior(samples) >= 0.0
+        assert gaussian_kl_details(samples)[0] >= 0.0
 
 
 # ---------------------------------------------------------------------------
