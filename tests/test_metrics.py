@@ -6,17 +6,19 @@ KL oracles used below:
 """
 
 import csv
+import hashlib
 import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latentwalk import (ContractViolation, LatentBatch, PriorSpec, Rng,
-                        chain_diagnostics, gaussian_kl_details,
-                        median_heuristic_bandwidth, mmd_rbf, run_chain,
-                        sample_prior, write_report)
+from latentwalk import (ContractViolation, LatentBatch, MetricsReport,
+                        PriorSpec, Rng, chain_diagnostics,
+                        gaussian_kl_details, median_heuristic_bandwidth,
+                        mmd_rbf, run_chain, sample_prior, write_report)
 from latentwalk.metrics import _kernel_mean
 
 
@@ -245,3 +247,44 @@ def test_write_report_roundtrips(tmp_path):
     assert float(rows[0]["mmd_to_encoded"]) == report.mmd_to_encoded[0]
     assert float(rows[-1]["cov_eigen_range"]) == report.cov_eigen_range[-1]
     assert [int(r["step"]) for r in rows] == report.steps
+
+
+def test_write_report_bytes_are_pinned(tmp_path):
+    """report.csv's layout and every value's digits; recorded on NumPy 2.4.6."""
+    trace, ref = _diag_setup()
+    path = tmp_path / "report.csv"
+    write_report(chain_diagnostics(trace, ref, PriorSpec(2), rng=Rng(3)), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "9fe94ed3d4aed1c859ba38b5c086ccc1e83eaa4d6e53170012635c674f05bcaa")
+
+
+@dataclass(kw_only=True)
+class _ReportWithExtra(MetricsReport):
+    extra: list[float] = field(default_factory=list)
+    note: str = "x"
+
+
+def test_write_report_takes_its_layout_from_the_fields(tmp_path):
+    """A new list field is a column in its field's place, a new scalar field a
+    metadata line: write_report lists neither."""
+    trace, ref = _diag_setup()
+    report = chain_diagnostics(trace, ref, PriorSpec(2), rng=Rng(3))
+    extended = _ReportWithExtra(
+        **{f.name: getattr(report, f.name) for f in fields(report)},
+        extra=[0.5 * s for s in report.steps])
+    path = tmp_path / "report.csv"
+    write_report(extended, path)
+    lines = path.read_text().splitlines()
+    assert lines[7] == "# note = x"
+    assert lines[8] == ("step,mmd_to_encoded,mmd_to_prior,gaussian_kl_to_prior,"
+                        "mean_norm,cov_eigen_range,extra")
+    assert [row.rsplit(",", 1)[1] for row in lines[9:]] == [
+        "0", "0.5", "1", "1.5"]
+
+
+def test_write_report_refuses_columns_of_unequal_length(tmp_path):
+    trace, ref = _diag_setup()
+    report = chain_diagnostics(trace, ref, PriorSpec(2))
+    with pytest.raises(ValueError):
+        write_report(replace(report, mean_norm=report.mean_norm[:-1]),
+                     tmp_path / "report.csv")
