@@ -22,9 +22,10 @@ from latentwalk import (DivergenceError, OracleSystem, Rng,
                         oracle_sample_chain, random_contractive_system,
                         solve_stationary_cov, spectral_radius)
 from latentwalk.cli import _flag_type
-from latentwalk.data import _CONFIG_KEYS, _parse_count
+from latentwalk.data import _CONFIG_KEYS, _parse_count, _parse_positive
 
 COUNT, SEED = _flag_type(_parse_count), _flag_type(_CONFIG_KEYS["seed"])
+POSITIVE = _flag_type(_parse_positive)
 
 
 def sweep_row(radius: float, args: argparse.Namespace, rng: Rng) -> str:
@@ -52,7 +53,7 @@ def sweep_row(radius: float, args: argparse.Namespace, rng: Rng) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--radii", type=float, nargs="+",
+    parser.add_argument("--radii", type=POSITIVE, nargs="+",
                         default=[0.2, 0.4, 0.6, 0.8, 0.9, 0.95])
     parser.add_argument("--latent-dim", type=COUNT, default=3)
     parser.add_argument("--data-dim", type=COUNT, default=5)

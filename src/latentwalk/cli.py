@@ -220,10 +220,10 @@ def cmd_sample(args) -> int:
 
 def cmd_interpolate(args) -> int:
     cfg, opts, out, model, shape = _open(args, "interpolate")
-    _write_manifest(out, "interpolate", cfg, opts,
-                    inputs=[str(args.checkpoint)],
-                    outputs=[f"grid_step<k> for k in {list(opts.steps)}"])
     data = _load_split(opts, cfg.seed, "test")
+    _write_manifest(out, "interpolate", cfg, opts,
+                    inputs=[str(args.checkpoint), data.source],
+                    outputs=[f"grid_step<k> for k in {list(opts.steps)}"])
     if max(args.indices) >= len(data):
         raise LatentWalkError(
             f"corner index {max(args.indices)} out of range for "

@@ -91,7 +91,7 @@ def gen_gaussian_mixture(n: int, k: int = 8, radius: float = 1.0,
     np.clip(mapped, 0.0, 1.0, out=mapped)
     return Dataset(mapped, split=split,
                    source=f"mixture(k={k}, radius={radius}, std={std}, "
-                          f"n={n}, seed={seed})")
+                          f"n={n}, seed={seed}, split={split})")
 
 
 def load_idx(path: str | Path) -> Dataset:

@@ -9,7 +9,7 @@ later step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -109,9 +109,14 @@ def gaussian_kl_details(samples: np.ndarray) -> tuple[float, bool]:
 
 @dataclass
 class MetricsReport:
-    """Per-step series over a chain (index 0 = starting batch) plus metadata."""
+    """Per-step series over a chain (index 0 = starting batch) plus metadata.
 
-    steps: list[int]
+    `write_report` writes each list field, one entry per step, as a column
+    (`steps` as `step`) and each other field as a `# key = value` line, all in
+    field order.
+    """
+
+    steps: list[int] = field(metadata={"column": "step"})
     mmd_to_encoded: list[float]
     mmd_to_prior: list[float]
     gaussian_kl_to_prior: list[float]
@@ -148,40 +153,34 @@ def chain_diagnostics(trace: ChainTrace, encoded_reference: LatentBatch,
 
     series = trace.latents()
     bandwidth = median_heuristic_bandwidth(series[0], ref)
-    report = MetricsReport(
-        steps=[0] + [step.t for step in trace.steps],
-        mmd_to_encoded=[], mmd_to_prior=[], gaussian_kl_to_prior=[],
-        mean_norm=[], cov_eigen_range=[],
-        bandwidth=bandwidth, n_chain=series[0].shape[0],
-        n_reference=ref.shape[0], n_prior=prior_samples.shape[0],
-        prior_seed=prior_seed,
-    )
     denom = 2.0 * bandwidth * bandwidth
     k_ref = _kernel_mean(ref, ref, denom)
     k_prior = _kernel_mean(prior_samples, prior_samples, denom)
-    for z in series:
+    rows, regularized = [], False
+    for t, z in zip([0] + [step.t for step in trace.steps], series, strict=True):
         k_z = _kernel_mean(z, z, denom)
-        report.mmd_to_encoded.append(
-            mmd_rbf(z, ref, bandwidth, k_aa=k_z, k_bb=k_ref))
-        report.mmd_to_prior.append(
-            mmd_rbf(z, prior_samples, bandwidth, k_aa=k_z, k_bb=k_prior))
-        kl, flagged = gaussian_kl_details(z)
-        report.kl_regularized = report.kl_regularized or flagged
-        report.gaussian_kl_to_prior.append(kl)
-        report.mean_norm.append(float(np.linalg.norm(z.mean(axis=0))))
-        cov = np.cov(z, rowvar=False, bias=True)
-        cov = np.atleast_2d(cov)
-        eig = np.linalg.eigvalsh(cov)
-        report.cov_eigen_range.append(float(eig[-1] - eig[0]))
-    return report
+        row = {"steps": t,
+               "mmd_to_encoded": mmd_rbf(z, ref, bandwidth, k_aa=k_z, k_bb=k_ref),
+               "mmd_to_prior": mmd_rbf(z, prior_samples, bandwidth,
+                                       k_aa=k_z, k_bb=k_prior)}
+        row["gaussian_kl_to_prior"], flagged = gaussian_kl_details(z)
+        regularized = regularized or flagged
+        row["mean_norm"] = float(np.linalg.norm(z.mean(axis=0)))
+        eig = np.linalg.eigvalsh(np.atleast_2d(np.cov(z, rowvar=False, bias=True)))
+        row["cov_eigen_range"] = float(eig[-1] - eig[0])
+        rows.append(row)
+    return MetricsReport(
+        **{key: [row[key] for row in rows] for key in rows[0]},
+        bandwidth=bandwidth, n_chain=series[0].shape[0],
+        n_reference=ref.shape[0], n_prior=prior_samples.shape[0],
+        prior_seed=prior_seed, kl_regularized=regularized)
 
 
 def write_report(report: MetricsReport, path: str | Path) -> None:
     """CSV serialization: '#' metadata lines, a header row, one row per step."""
-    columns = ["mmd_to_encoded", "mmd_to_prior", "gaussian_kl_to_prior",
-               "mean_norm", "cov_eigen_range"]
-    meta = [(k, getattr(report, k)) for k in
-            ("bandwidth", "n_chain", "n_reference", "n_prior", "prior_seed",
-             "kl_regularized", "reference")]
-    write_csv(path, ["step", *columns],
-              zip(report.steps, *(getattr(report, c) for c in columns)), meta)
+    values = [(f, getattr(report, f.name)) for f in fields(report)]
+    columns = [(f.metadata.get("column", f.name), v) for f, v in values
+               if isinstance(v, list)]
+    write_csv(path, [name for name, _ in columns],
+              zip(*(v for _, v in columns), strict=True),
+              [(f.name, v) for f, v in values if not isinstance(v, list)])

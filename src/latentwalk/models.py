@@ -318,8 +318,6 @@ def adversary_score(model: GenerativeAutoencoder, z: Tensor,
         raise ShapeMismatchError(
             f"adversary expects (n, {model.latent_dim}), got {z.data.shape}"
         )
-    if train and rng is None:
-        raise ContractViolation("train-mode adversary needs an rng for dropout")
     return model._run(model.adversary, z, rng=rng, active=train)
 
 

@@ -345,6 +345,13 @@ def test_interpolate_grid_outputs(tmp_path, fast_cfg):
     assert code == 0
     grid = np.loadtxt(out / "grid_step0_latents.csv", delimiter=",", skiprows=1)
     assert grid.shape == (9, 2)
+    # The corners are encoded test rows, so the manifest lists the test data
+    # next to the checkpoint, and the test mixture is told from the train one.
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    train_inputs = json.loads((run / "manifest.json").read_text())["inputs"]
+    assert inputs[0] == str(run / "model.ckpt")
+    assert inputs[1].endswith("split=test)")
+    assert train_inputs[0].endswith("split=train)")
 
 
 def test_interpolate_bad_indices_rejected(tmp_path, fast_cfg):

@@ -57,6 +57,8 @@ def test_mixture_is_seeded_and_split_aware():
     test_split = gen_gaussian_mixture(64, seed=3, split="test")
     assert not np.array_equal(a.samples, test_split.samples)
     assert test_split.split == "test"
+    assert a.source.endswith("seed=3, split=train)")
+    assert test_split.source.endswith("seed=3, split=test)")
 
 
 def test_mixture_modes_form_a_ring():

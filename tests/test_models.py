@@ -379,6 +379,22 @@ def test_adversary_scores_in_unit_interval(tiny_aae):
     assert np.all(s.data > 0.0) and np.all(s.data < 1.0)
 
 
+def test_train_mode_adversary_without_an_rng_is_refused(tiny_aae):
+    """The adversary's active dropout layer owns the rng check."""
+    with pytest.raises(ContractViolation, match="dropout requires an rng"):
+        adversary_score(tiny_aae, Tensor(Rng(13).normal((4, 2))), train=True)
+
+
+def test_adversary_without_a_hidden_layer_needs_no_rng_to_train():
+    """No hidden layer means no dropout, so train mode runs without an rng."""
+    aae = GenerativeAutoencoder("aae", data_dim=2, latent_dim=2,
+                                hidden_dims=(8,), adversary_dims=(),
+                                init_seed=0)
+    z = Tensor(Rng(13).normal((4, 2)))
+    assert np.array_equal(adversary_score(aae, z, train=True).data,
+                          adversary_score(aae, z).data)
+
+
 def test_vae_has_no_adversary(tiny_vae):
     assert tiny_vae.adversary is None
     with pytest.raises(ContractViolation):

@@ -31,6 +31,17 @@ def test_script_refuses_a_seed_outside_64_bits_as_a_usage_error(script, seed):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("radius", ["nan", "inf", "0", "-0.5"])
+def test_oracle_sweep_refuses_a_radius_that_is_not_positive_and_finite(radius):
+    """`--radii` goes through the one number parser: no traceback for a
+    non-finite radius, no `nan%` row for 0, no silent sign flip for -0.5."""
+    proc = _run("oracle_sweep.py", ["--radii", radius])
+    assert proc.returncode == 2, proc.stderr
+    assert "argument --radii: bad value" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not proc.stdout
+
+
 def _run(script, args):
     path = os.pathsep.join(p for p in (str(ROOT / "src"),
                                        os.environ.get("PYTHONPATH")) if p)
