@@ -182,5 +182,5 @@ def write_report(report: MetricsReport, path: str | Path) -> None:
     columns = [(f.metadata.get("column", f.name), v) for f, v in values
                if isinstance(v, list)]
     write_csv(path, [name for name, _ in columns],
-              zip(*(v for _, v in columns), strict=True),
+              list(zip(*(v for _, v in columns), strict=True)),
               [(f.name, v) for f, v in values if not isinstance(v, list)])

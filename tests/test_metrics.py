@@ -285,6 +285,7 @@ def test_write_report_takes_its_layout_from_the_fields(tmp_path):
 def test_write_report_refuses_columns_of_unequal_length(tmp_path):
     trace, ref = _diag_setup()
     report = chain_diagnostics(trace, ref, PriorSpec(2))
+    path = tmp_path / "report.csv"
     with pytest.raises(ValueError):
-        write_report(replace(report, mean_norm=report.mean_norm[:-1]),
-                     tmp_path / "report.csv")
+        write_report(replace(report, mean_norm=report.mean_norm[:-1]), path)
+    assert not path.exists()
