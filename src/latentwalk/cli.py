@@ -21,11 +21,11 @@ import numpy as np
 
 from .chain import LatentBatch, interpolation_grid, run_chain, sample_prior
 from .data import (_CONFIG_KEYS, Dataset, RunOptions, _parse_count,
-                   _parse_int_list, _parse_number, _parse_positive,
-                   _read_config, export_trace, gen_gaussian_mixture,
-                   load_checkpoint, load_idx, parse_config, save_checkpoint,
-                   write_csv, write_image_grid, write_loss_log)
-from .errors import ContractViolation, LatentWalkError
+                   _parse_int_list, _parse_number, _read_config, export_trace,
+                   gen_gaussian_mixture, load_checkpoint, load_idx,
+                   parse_config, save_checkpoint, write_csv, write_image_grid,
+                   write_loss_log)
+from .errors import ConfigError, ContractViolation, LatentWalkError
 from .metrics import chain_diagnostics, write_report
 from .models import (CorruptionSpec, GenerativeAutoencoder, encode_mean,
                      resolve_variant, set_norm_mode)
@@ -59,10 +59,18 @@ def _indices_arg(text: str) -> tuple[int, ...]:
 
 def _resolve(args) -> tuple[TrainConfig, RunOptions, dict]:
     """Config file (if any) merged with the flags that set config keys: the
-    settings, and the parsed value of each key that the file or a flag gave."""
+    settings, and the parsed value of each key that the file or a flag gave.
+    A file that cannot be read is a ConfigError at line 0."""
+    try:
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {args.config!r}", 0) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {args.config!r}: {exc}",
+                          0) from None
     overrides = {k: v for k, v in vars(args).items()
                  if k in _CONFIG_KEYS and v is not None}
-    given = _read_config(Path(args.config) if args.config else "", overrides)
+    given = _read_config(text, overrides)
     return (*parse_config("", given), given)
 
 
@@ -305,13 +313,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    cfg, opts, _ = _resolve(args)
+    cfg, opts, given = _resolve(args)
+    opts = replace(opts, chains=given.get("chains", 10_000))
     out = _out_dir(args, "oracle-check")
     checks_path = out / "checks.csv"
     _write_manifest(out, "oracle-check", cfg, opts, inputs=[],
                     outputs=[str(checks_path)])
     results = run_oracle_suite(seed=cfg.seed, radius=args.spectral_radius,
-                               n_chains=args.chains, tol_cov=args.tol_cov)
+                               n_chains=opts.chains)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
@@ -384,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
                           type=_flag_type(_parse_number(float)), default=0.5,
                           help="contraction of the base system (>= 1 to "
                                "demonstrate divergence detection)")
-    key(p_oracle, "chains", default=10_000)
-    p_oracle.add_argument("--tol-cov", type=_flag_type(_parse_positive),
-                          default=0.05)
+    key(p_oracle, "chains", "number of chains in the sampled checks "
+                            "(default 10000)")
     return parser
 
 

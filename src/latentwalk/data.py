@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import struct
 import zlib
 from collections.abc import Iterable, Mapping
@@ -96,7 +97,8 @@ def gen_gaussian_mixture(n: int, k: int = 8, radius: float = 1.0,
 
 def load_idx(path: str | Path) -> Dataset:
     """Parse a big-endian IDX file of unsigned bytes into rows scaled to [0,1];
-    a 3-dim file's rows are images of its last two sizes."""
+    a 3-dim file's rows are images of its last two sizes. The split is
+    `test` when `test` or `t10k` is a whole alphanumeric token of the name."""
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -131,8 +133,8 @@ def load_idx(path: str | Path) -> Dataset:
             header_len + expected)
     data = np.frombuffer(blob, dtype=np.uint8, offset=header_len)
     samples = data.astype(np.float64).reshape(dims[0], math.prod(dims[1:])) / 255.0
-    name = path.name.lower()
-    split = "test" if ("t10k" in name or "test" in name) else "train"
+    tokens = set(re.split(r"[^a-z0-9]+", path.name.lower()))
+    split = "test" if tokens & {"test", "t10k"} else "train"
     return Dataset(samples, split=split, source=str(path),
                    image_shape=dims[1:] if ndim == 3 else None)
 
@@ -562,33 +564,12 @@ _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig)
                     if f.name in _CONFIG_KEYS)
 
 
-def _read_config(source: str | Path, overrides: Mapping | None = None) -> dict:
-    """The keys that `key = value` config text (a path to it, or the text
-    itself) and `overrides` give, each with its parsed value.
-
-    A `str` that names an existing file is read as that file. Any other
-    `str` is config text only when it is blank or holds a newline (so one
-    line of text must end in one); else it is a missing file, which is how a
-    mistyped path is reported. Unknown keys and bad values raise with the
-    1-based line number (0 for the file itself). `overrides` maps config
-    keys to values already parsed by their parsers in `_CONFIG_KEYS`; they
-    win over the text. A key that neither gives is absent.
-    """
-    try:
-        is_file = Path(source).is_file()
-    except OSError:  # text too long to name a path
-        is_file = False
-    if is_file:
-        try:
-            text = Path(source).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(
-                f"cannot read config file {str(source)!r}: {exc}", 0) from None
-    elif isinstance(source, str) and (not source.strip() or "\n" in source):
-        text = source
-    else:
-        raise ConfigError(f"config file not found: {str(source)!r}", 0)
-
+def _read_config(text: str, overrides: Mapping | None = None) -> dict:
+    """The keys that `key = value` config text and `overrides` give, each
+    with its parsed value; an unknown key or a bad value is a ConfigError at
+    its 1-based line. `overrides` maps config keys to values already parsed
+    by their parsers in `_CONFIG_KEYS`; they win over the text. A key that
+    neither gives is absent."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -613,16 +594,17 @@ def _read_config(source: str | Path, overrides: Mapping | None = None) -> dict:
     return values
 
 
-def parse_config(source: str | Path, overrides: Mapping | None = None
+def parse_config(text: str, overrides: Mapping | None = None
                  ) -> tuple[TrainConfig, RunOptions]:
-    """Settings from `_read_config(source, overrides)`; omitted keys keep
-    their defaults (20 epochs; Adam 2e-4/0.5/0.999; corruption 0.25)."""
-    values = _read_config(source, overrides)
+    """Settings from `_read_config(text, overrides)`; omitted keys keep the
+    defaults of `TrainConfig`, `CorruptionSpec` and `RunOptions`."""
+    values = _read_config(text, overrides)
     variant = values.get("variant", "vae")
     _, denoising = resolve_variant(variant)
     cfg = TrainConfig(
         denoising=denoising,
-        corruption=CorruptionSpec(values.get("corruption_variance", 0.25)),
+        corruption=CorruptionSpec(values.get("corruption_variance",
+                                             CorruptionSpec.variance)),
         **{k: values[k] for k in _TRAIN_KEYS if k in values},
     )
     opts = RunOptions(**{f.name: values[f.name] for f in fields(RunOptions)

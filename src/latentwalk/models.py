@@ -102,7 +102,8 @@ class GenerativeAutoencoder:
     def __init__(self, variant: str, data_dim: int, latent_dim: int,
                  hidden_dims: tuple[int, ...] = (64, 64),
                  adversary_dims: tuple[int, ...] = (64, 64),
-                 denoising: bool = False, corruption_variance: float = 0.25,
+                 denoising: bool = False,
+                 corruption_variance: float = CorruptionSpec.variance,
                  init_seed: int = 0, dtype=np.float64):
         if not isinstance(variant, str) or variant.lower() not in VARIANTS:
             raise ContractViolation(f"unknown variant {variant!r}")

@@ -37,6 +37,7 @@ class OracleSystem:
     It is also a chain model: `run_chain` walks it directly. chain_decode
     applies the decoder mean plus decoder noise; corruption is *not* applied
     there, since the denoising kernel owns it, exactly as for real models.
+    Both walks multiply by contiguous copies of D^T and E^T, made once.
     """
 
     def __init__(self, E: np.ndarray, D: np.ndarray,
@@ -55,6 +56,8 @@ class OracleSystem:
         self.latent_dim, self.data_dim = E.shape
         self.decoder_noise_variance = CorruptionSpec(decoder_noise_variance).variance
         self.corruption_variance = CorruptionSpec(corruption_variance).variance
+        self.Dt = np.ascontiguousarray(self.D.T)
+        self.Et = np.ascontiguousarray(self.E.T)
         self.M = self.E @ self.D
         self.Q = (self.decoder_noise_variance + self.corruption_variance) \
             * (self.E @ self.E.T)
@@ -65,7 +68,7 @@ class OracleSystem:
             )
 
     def chain_decode(self, z: np.ndarray, rng: Rng) -> np.ndarray:
-        x = z @ self.D.T
+        x = z @ self.Dt
         if self.decoder_noise_variance > 0.0:
             noise = rng.normal(x.shape)
             noise *= np.sqrt(self.decoder_noise_variance)
@@ -73,7 +76,7 @@ class OracleSystem:
         return x
 
     def chain_encode(self, x: np.ndarray, rng: Rng) -> np.ndarray:
-        return x @ self.E.T
+        return x @ self.Et
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -144,12 +147,12 @@ def oracle_sample_chain(sys: OracleSystem, z0: np.ndarray, steps: int,
     trace = np.empty((steps + 1, n, sys.latent_dim))
     trace[0] = z
     for t in range(steps):
-        x = z @ sys.D.T
+        x = z @ sys.Dt
         if sys.decoder_noise_variance > 0.0:
             x = x + np.sqrt(sys.decoder_noise_variance) * rng.normal((n, sys.data_dim))
         if sys.corruption_variance > 0.0:
             x = x + np.sqrt(sys.corruption_variance) * rng.normal((n, sys.data_dim))
-        z = x @ sys.E.T
+        z = x @ sys.Et
         trace[t + 1] = z
     return trace
 
@@ -185,7 +188,7 @@ def _rel_frobenius(measured: np.ndarray, expected: np.ndarray) -> float:
     return float(np.linalg.norm(measured - expected) / np.linalg.norm(expected))
 
 
-def run_oracle_suite(seed: int = 0, radius: float = 0.5, n_chains: int = 10_000,
+def run_oracle_suite(seed: int, radius: float, n_chains: int,
                      tol_cov: float = 0.05) -> list[CheckResult]:
     """Verify the chain machinery against closed-form arithmetic.
 

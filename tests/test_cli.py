@@ -14,6 +14,7 @@ from latentwalk import (ConfigError, CorruptionSpec, DomainError,
                         run_chain, sample_prior, save_checkpoint,
                         set_norm_mode)
 from latentwalk import cli as cli_module
+from latentwalk.oracle import CheckResult
 from latentwalk import data as data_module
 from latentwalk.cli import main
 
@@ -505,14 +506,43 @@ def test_oracle_check_fails_cleanly_when_the_walk_raises(tmp_path, capsys,
     assert "error: walk refused" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
-def test_oracle_check_tolerance_must_be_finite_and_positive(tmp_path, capsys,
-                                                            tol):
+def _record_suite_chains(monkeypatch) -> list[int]:
+    """Replace the oracle suite with one passing check; the returned list
+    gets each call's `n_chains`."""
+    counts = []
+
+    def suite(seed, radius, n_chains, **kwargs):
+        counts.append(n_chains)
+        return [CheckResult("recorded", True, "")]
+
+    monkeypatch.setattr(cli_module, "run_oracle_suite", suite)
+    return counts
+
+
+def test_oracle_check_takes_chains_from_the_flag_else_the_file(
+        tmp_path, monkeypatch):
+    """The flag, else the config file's `chains`, else 10000, and the
+    manifest records the count the suite walked. The flag had a default
+    that overrode the file, so a file's `chains` was never used."""
+    counts = _record_suite_chains(monkeypatch)
+    cfg = tmp_path / "oracle.cfg"
+    cfg.write_text("chains = 12000\n")
+    for flags, chains in (([], 10_000), (["--config", str(cfg)], 12_000),
+                          (["--config", str(cfg), "--chains", "500"], 500)):
+        out = tmp_path / f"oc{chains}"
+        assert main(["oracle-check", *flags, "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["options"]["chains"] == chains
+        assert counts[-1] == chains
+
+
+def test_oracle_check_has_no_tolerance_flag(tmp_path, capsys):
+    """The suite owns its covariance tolerance."""
     with pytest.raises(SystemExit) as exc:
-        main(["oracle-check", "--out", str(tmp_path / "oc"), "--tol-cov", tol])
+        main(["oracle-check", "--out", str(tmp_path / "oc"),
+              "--tol-cov", "0.1"])
     assert exc.value.code == 2
-    assert "argument --tol-cov" in capsys.readouterr().err
-    assert not (tmp_path / "oc").exists()
+    assert "unrecognized arguments: --tol-cov" in capsys.readouterr().err
 
 
 def test_oracle_check_flags_divergence(tmp_path, capsys):
@@ -567,6 +597,24 @@ def test_bad_config_file_returns_one(tmp_path, capsys):
     code = main(["train", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "line 1" in capsys.readouterr().err
+
+
+def test_config_flag_reads_the_file_it_names(tmp_path, capsys, monkeypatch):
+    """`--config` is always a path: one under a directory named with `=` is
+    read as a file, and a missing one is a ConfigError at line 0."""
+    counts = _record_suite_chains(monkeypatch)
+    cfg = tmp_path / "lr=0.1" / "oracle.cfg"
+    cfg.parent.mkdir()
+    cfg.write_text("chains = 64\n")
+    assert main(["oracle-check", "--config", str(cfg),
+                 "--out", str(tmp_path / "oc")]) == 0
+    assert counts == [64]
+    missing = str(tmp_path / "no" / "lr=0.1.cfg")
+    assert main(["oracle-check", "--config", missing,
+                 "--out", str(tmp_path / "oc2")]) == 1
+    assert (capsys.readouterr().err ==
+            f"error: line 0: config file not found: {missing!r}\n")
+    assert counts == [64] and not (tmp_path / "oc2").exists()
 
 
 def test_config_file_that_is_not_utf8_returns_one(tmp_path, capsys):
@@ -642,10 +690,8 @@ def test_flag_and_config_key_reject_the_same_values(tmp_path, capsys, key,
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert f"argument {flag}" in err and why in err
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"epochs = 2\n{key} = {value}\n")
     with pytest.raises(ConfigError) as bad:
-        parse_config(cfg)
+        parse_config(f"epochs = 2\n{key} = {value}\n")
     assert bad.value.line == 2 and why in str(bad.value)
 
 

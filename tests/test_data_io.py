@@ -6,7 +6,6 @@ import json
 import struct
 import zlib
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +89,19 @@ def test_idx_test_split_detected_from_name(tmp_path):
     path = tmp_path / "t10k-images.idx"
     path.write_bytes(_idx_bytes((1, 4), [0, 64, 128, 255]))
     assert load_idx(path).split == "test"
+
+
+@pytest.mark.parametrize("name,split", [
+    ("latest-train.idx", "train"), ("images-train.idx", "train"),
+    ("images-test.idx", "test"), ("t10k-images-idx3-ubyte", "test"),
+    ("mnist_test.idx", "test"), ("contest.idx", "train"),
+])
+def test_idx_split_is_a_whole_token_of_the_name(tmp_path, name, split):
+    """`test` inside another word (`latest`, `contest`) does not make the
+    test split."""
+    path = tmp_path / name
+    path.write_bytes(_idx_bytes((1, 4), [0, 64, 128, 255]))
+    assert load_idx(path).split == split
 
 
 def test_idx_bad_magic_offset_zero(tmp_path):
@@ -565,22 +577,12 @@ def test_parse_config_overrides_win_over_the_text():
 
 
 def test_parse_config_from_file(tmp_path):
+    """A file's text, read by the caller (the CLI reads `--config`)."""
     path = tmp_path / "run.cfg"
     path.write_text("batch_size = 16\nchains = 123\n")
-    cfg, opts = parse_config(path)
+    cfg, opts = parse_config(path.read_text())
     assert cfg.batch_size == 16
     assert opts.chains == 123
-
-
-def test_parse_config_reads_a_str_path_under_a_directory_named_with_equals(
-        tmp_path):
-    """A str naming an existing file is that file, even when its path holds
-    `=` and so could pass for config text."""
-    path = tmp_path / "lr=0.1" / "fast.cfg"
-    path.parent.mkdir()
-    path.write_text("epochs = 3\n")
-    cfg, _ = parse_config(str(path))
-    assert cfg.epochs == 3
 
 
 def test_parse_config_unknown_key_reports_line(tmp_path):
@@ -605,23 +607,16 @@ def test_parse_config_bad_choice():
         parse_config("variant = gan\n")
 
 
-def test_parse_config_missing_file():
-    with pytest.raises(ConfigError):
-        parse_config("no/such/file.cfg")
-    with pytest.raises(ConfigError):
-        parse_config(Path("no/such/file.cfg"))
-
-
 def test_parse_config_takes_one_line_of_text_and_reports_a_mistyped_path():
-    """A str naming no file is text only when it is blank or holds a
-    newline, so a path with `=` in it is a missing file, not a key."""
-    cfg, _ = parse_config("epochs = 5\n")
+    """Config text needs no final newline, and a path passed as the text is
+    never an empty config: it is a ConfigError at line 1."""
+    cfg, _ = parse_config("epochs = 5")
     assert cfg.epochs == 5
-    for source in ("no/lr=0.1/x.cfg", "epochs = 5"):
+    for source, why in (("no/lr=0.1/x.cfg", "unknown key 'no/lr'"),
+                        ("no/such/file.cfg", "expected `key = value`")):
         with pytest.raises(ConfigError) as err:
             parse_config(source)
-        assert err.value.line == 0
-        assert "config file not found" in str(err.value)
+        assert err.value.line == 1 and why in str(err.value)
 
 
 def test_parse_config_malformed_line():

@@ -6,6 +6,7 @@ Q = (decoder_var + corruption_var)·E·Eᵀ, so the stationary covariance solves
 S = M S Mᵀ + Q. With M = 0.5·I and Q = I that gives S = I / (1 - 0.25) = (4/3)·I.
 """
 
+import hashlib
 import threading
 
 import numpy as np
@@ -199,6 +200,30 @@ def test_rectangular_walk_replays_direct_sampler_under_both_kernels(corruption):
     for step in trace.steps:
         assert step.x.shape == (32, 6)
         assert (step.x_tilde is None) == (spec is None)
+
+
+def test_oracle_walk_bytes_are_pinned():
+    """SHA-256 of oracle_sample_chain and run_chain walks of a square, a
+    corrupted and two non-square systems, recorded on NumPy 2.4.6. The
+    suite's check 6 compares the two paths with each other, so it cannot see
+    both drift together; this pin can."""
+    h = hashlib.sha256()
+    for i, (b, a, corruption) in enumerate(
+            ((2, 2, 0.0), (3, 3, 0.25), (2, 5, 0.1), (4, 3, 0.0))):
+        rng = Rng(26).derive(f"system{i}")
+        sys = random_contractive_system(rng, latent_dim=b, data_dim=a,
+                                        target_radius=0.5 + 0.1 * i,
+                                        decoder_noise_variance=0.5,
+                                        corruption_variance=corruption)
+        z0 = rng.normal((2000, b))
+        h.update(oracle_sample_chain(sys, z0, steps=5, rng=rng).tobytes())
+        spec = CorruptionSpec(corruption) if corruption else None
+        trace = run_chain(sys, LatentBatch(z0), steps=5, spec=spec, rng=rng)
+        for step in trace.steps:
+            h.update(step.x.tobytes())
+            h.update(step.z.values.tobytes())
+    assert h.hexdigest() == (
+        "227698d08c52eb0fe9bd5899195add3ec30bdc2a973d23807810b233913b8796")
 
 
 # ---------------------------------------------------------------------------
