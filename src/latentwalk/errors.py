@@ -34,7 +34,8 @@ class IdxFormatError(LatentWalkError):
 
 
 class ConfigError(LatentWalkError):
-    """Bad run-configuration text; `line` is the 1-based offending line."""
+    """Bad run configuration; `line` is the 1-based offending line, 0 for
+    the file itself."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")

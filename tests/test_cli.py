@@ -7,14 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latentwalk import (ConfigError, CorruptionSpec, DomainError,
+from latentwalk import (CheckResult, ConfigError, CorruptionSpec, DomainError,
                         GenerativeAutoencoder, OracleSystem, PriorSpec,
                         Rng, corrupt, gen_gaussian_mixture, load_arrays,
                         load_checkpoint, parse_config, read_checkpoint_header,
                         run_chain, sample_prior, save_checkpoint,
                         set_norm_mode)
 from latentwalk import cli as cli_module
-from latentwalk.oracle import CheckResult
 from latentwalk import data as data_module
 from latentwalk.cli import main
 
