@@ -21,6 +21,7 @@ from latentwalk import (CheckpointError, ChecksumError, ConfigError,
                         read_checkpoint_header, resolve_variant, run_chain,
                         sample_prior, save_arrays, save_checkpoint,
                         write_csv, write_image_grid)
+from latentwalk.cli import main
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +586,21 @@ def test_parse_config_from_file(tmp_path):
     assert opts.chains == 123
 
 
+def test_parse_config_reads_a_str_path_under_a_directory_named_with_equals(
+        tmp_path):
+    """A config file under a directory named with `=` is read by its caller
+    and its text parsed; the path itself, passed as the text, is not taken
+    for a file or for an empty config but refused at line 1."""
+    path = tmp_path / "lr=0.1" / "fast.cfg"
+    path.parent.mkdir()
+    path.write_text("epochs = 3\n")
+    cfg, _ = parse_config(path.read_text())
+    assert cfg.epochs == 3
+    with pytest.raises(ConfigError) as err:
+        parse_config(str(path))
+    assert err.value.line == 1
+
+
 def test_parse_config_unknown_key_reports_line(tmp_path):
     with pytest.raises(ConfigError) as err:
         parse_config("epochs = 5\nnot_a_key = 1\n")
@@ -605,6 +621,19 @@ def test_parse_config_bad_choice():
         parse_config("bn_mode = frozen\n")
     with pytest.raises(ConfigError):
         parse_config("variant = gan\n")
+
+
+def test_parse_config_missing_file(tmp_path, capsys):
+    """parse_config reads no file, so a missing one named as the text is a
+    ConfigError; the CLI, which reads `--config`, reports it at line 0."""
+    with pytest.raises(ConfigError):
+        parse_config("no/such/file.cfg")
+    missing = str(tmp_path / "no" / "such" / "file.cfg")
+    assert main(["train", "--config", missing,
+                 "--out", str(tmp_path / "o")]) == 1
+    assert (capsys.readouterr().err ==
+            f"error: line 0: config file not found: {missing!r}\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_parse_config_takes_one_line_of_text_and_reports_a_mistyped_path():
