@@ -282,6 +282,10 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg, opts, out, model, _ = _open(args, "evaluate")
+    if opts.chains <= model.latent_dim:
+        raise ContractViolation(
+            f"chains ({opts.chains}) must exceed latent_dim "
+            f"({model.latent_dim}) to fit each step's latent covariance")
     data = _load_split(opts, cfg.seed, "test")
     report_path = out / "report.csv"
     kind = "clean" if cfg.corruption is None else "corrupted"

@@ -475,6 +475,19 @@ def test_evaluate_is_seed_deterministic(tmp_path, fast_cfg):
     assert outs[0] == outs[1]
 
 
+def test_evaluate_refuses_no_more_chains_than_latent_dims(tmp_path, fast_cfg,
+                                                          capsys):
+    run = _train(tmp_path, fast_cfg)
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--checkpoint", str(run / "model.ckpt"),
+                 "--config", fast_cfg, "--out", str(out), "--chains", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "chains (2)" in err and "latent_dim (2)" in err
+    assert not (out / "manifest.json").exists()
+    assert not (out / "report.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # oracle-check
 

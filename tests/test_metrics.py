@@ -255,7 +255,7 @@ def test_write_report_bytes_are_pinned(tmp_path):
     path = tmp_path / "report.csv"
     write_report(chain_diagnostics(trace, ref, PriorSpec(2), rng=Rng(3)), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "9fe94ed3d4aed1c859ba38b5c086ccc1e83eaa4d6e53170012635c674f05bcaa")
+        "23a24010c5de1e04da8338ee5bb2db07a5ec81285cee2ab6f6880e97263c1708")
 
 
 @dataclass(kw_only=True)

@@ -1,4 +1,4 @@
-"""Counter-based random stream tests: reproducibility, derivation, and shape."""
+"""Random stream tests: reproducibility, derivation, and shape."""
 
 import hashlib
 
@@ -8,9 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latentwalk import ContractViolation, Rng
-from latentwalk import rng as rng_module
-
-BLOCK = rng_module._BLOCK
 
 
 @settings(max_examples=20, deadline=None)
@@ -80,60 +77,54 @@ def test_shapes_respected():
 # the stream, pinned
 
 
-def _reference_uniform(seed, counter, n):
-    """One-shot splitmix64: uniforms of raw draws counter+1 .. counter+n."""
-    idx = np.arange(counter + 1, counter + n + 1, dtype=np.uint64)
-    x = np.uint64(seed) + idx * np.uint64(0x9E3779B97F4A7C15)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    x = x ^ (x >> np.uint64(31))
-    return (x >> np.uint64(11)) * (2.0 ** -53)
+def _bare(seed):
+    return np.random.Generator(np.random.Philox(key=seed))
 
 
-def _reference_normal(seed, counter, n):
-    u1 = 1.0 - _reference_uniform(seed, counter, n)
-    u2 = _reference_uniform(seed, counter + n, n)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-
-
-@pytest.mark.parametrize("shape", [(), (0, 3), 1, BLOCK - 1, BLOCK, BLOCK + 1,
-                                   3 * BLOCK + 5])
-def test_draws_equal_the_one_shot_reference(shape):
-    n = int(np.prod(shape))
-    start = 123_457
-    for kind, draws_per_value, reference in (
-            ("uniform", 1, _reference_uniform),
-            ("normal", 2, _reference_normal)):
-        r = Rng(2016, counter=start)
-        got = getattr(r, kind)(shape)
-        expected = reference(2016, start, max(n, 1) if shape == () else n)
-        assert r.counter == start + draws_per_value * n
-        assert np.shape(got) == np.shape(np.empty(shape))
-        assert np.asarray(got).dtype == np.float64
+@pytest.mark.parametrize("shape", [(), (0, 3), 1, 7, (3, 70)])
+def test_draws_equal_a_bare_philox_generator(shape):
+    for kind, method in (("uniform", "random"),
+                         ("normal", "standard_normal")):
+        got = getattr(Rng(2016), kind)(shape)
+        expected = getattr(_bare(2016), method)(shape)
+        assert np.shape(got) == np.shape(expected)
         if shape == ():
-            assert got == expected[0]
+            assert type(got) is np.float64
         else:
-            assert np.asarray(got).tobytes() == expected.tobytes()
+            assert got.dtype == np.float64
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+    assert np.array_equal(Rng(2016).permutation(50),
+                          _bare(2016).permutation(50))
 
 
-@pytest.mark.parametrize("block", [1, 7, BLOCK])
-def test_block_size_never_changes_a_value(monkeypatch, block):
-    shapes = [(), 1, 6, 7, 8, 50, (3, 70)]
-    expected = [(Rng(5, 99).uniform(s), Rng(5, 99).normal(s)) for s in shapes]
-    monkeypatch.setattr(rng_module, "_BLOCK", block)
-    for shape, (u, z) in zip(shapes, expected):
-        n = int(np.prod(shape))
-        ru, rz = Rng(5, 99), Rng(5, 99)
-        assert np.asarray(ru.uniform(shape)).tobytes() == np.asarray(u).tobytes()
-        assert np.asarray(rz.normal(shape)).tobytes() == np.asarray(z).tobytes()
-        assert (ru.counter, rz.counter) == (99 + n, 99 + 2 * n)
+def test_a_request_split_across_calls_keeps_the_sequence():
+    for kind in ("uniform", "normal"):
+        r = Rng(7)
+        split = np.concatenate([getattr(r, kind)(5), getattr(r, kind)(6)])
+        whole = getattr(Rng(7), kind)(11)
+        assert split.tobytes() == whole.tobytes(), kind
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 1001])
+def test_counter_counts_the_raw_values_consumed(n):
+    r = Rng(3)
+    assert r.counter == 0
+    r.uniform(2)
+    r.uniform((n,))
+    assert r.counter == 2 + n
+    r.normal(n)
+    r.permutation(n)
+    # the next values are those a bare stream gives after `counter` raw ones
+    bits = np.random.Philox(key=3)
+    bits.random_raw(r.counter)
+    assert np.array_equal(r.uniform(9), np.random.Generator(bits).random(9))
 
 
 def test_stream_digests_are_pinned():
-    """SHA-256 of the float64 bytes, recorded before draws were blocked."""
+    """SHA-256 of the float64 bytes, recorded on NumPy 2.4.6."""
     digests = {
-        "normal": "2576180fa7477225bfdf35f21b4aa94ad227e9675af4d0c77b0dd9ad9d663948",
-        "uniform": "441cbdfeeed172011c0e0ab7ed7c7878430cc39e95d5a03ea3140538d51cde4f",
+        "normal": "9bba7918fc127cec57e81f5a6bee5f89439734a80fc5d8576281f282300565a2",
+        "uniform": "f443944de40dee88ab36f142fa7b5e8d586351c841f0a31332dda98328e2a7b4",
     }
     for kind, digest in digests.items():
         draws = getattr(Rng(2016), kind)((3, 70001))
