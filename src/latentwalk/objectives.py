@@ -156,6 +156,7 @@ def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
     rng = state.rng
     loss_fn = (recon_cross_entropy if cfg.reconstruction_loss == "cross_entropy"
                else recon_squared_error)
+    step = _vae_step if model.variant == "vae" else _aae_step
 
     order = rng.permutation(n)
     n_batches = n // cfg.batch_size
@@ -166,49 +167,59 @@ def train_epoch(model: GenerativeAutoencoder, dataset, cfg: TrainConfig,
         x_in = corrupt(x_clean, cfg.corruption, rng) if cfg.denoising else x_clean
         target = Tensor(x_clean, dtype=model.dtype)
         x = Tensor(x_in, dtype=model.dtype)
-
-        if model.variant == "vae":
-            z, mu, sigma = encode_vae(model, x, rng, update_running=True)
-            x_hat = decode(model, z, update_running=True)
-            recon = loss_fn(target, x_hat)
-            prior = kl_prior_gaussian(mu, sigma)
-            total = recon + prior
-            state.opt_recon.zero_grad()
-            total.backward()
-            state.opt_recon.step()
-            sums += (recon.item(), prior.item(), 0.0, 0.0)
-        else:
-            # (i) reconstruction on encoder + decoder
-            z = encode_aae(model, x, update_running=True)
-            x_hat = decode(model, z, update_running=True)
-            recon = loss_fn(target, x_hat)
-            state.opt_recon.zero_grad()
-            recon.backward()
-            state.opt_recon.step()
-            # (ii) and (iii) share these codes: only the adversary changes.
-            z = encode_aae(model, x)
-            # (ii) adversary on prior draws vs detached codes
-            z_real = Tensor(rng.normal((cfg.batch_size, model.latent_dim)),
-                            dtype=model.dtype)
-            d_real = adversary_score(model, z_real, rng=rng, train=True)
-            d_fake = adversary_score(model, z.detach(), rng=rng, train=True)
-            disc = _label_loss(d_real, 1.0) + _label_loss(d_fake, 0.0)
-            state.opt_disc.zero_grad()
-            disc.backward()
-            state.opt_disc.step()
-            # (iii) encoder against the updated adversary
-            d_gen = adversary_score(model, z, rng=rng, train=True)
-            gen = _label_loss(d_gen, 1.0)
-            state.opt_gen.zero_grad()
-            gen.backward()
-            state.opt_gen.step()
-            sums += (recon.item(), 0.0, disc.item(), gen.item())
+        sums += step(model, x, target, loss_fn, state, rng)
 
     means = sums / n_batches
     if model.variant == "vae":
         return EpochStats(epoch, float(means[0]), prior_loss=float(means[1]))
     return EpochStats(epoch, float(means[0]),
                       disc_loss=float(means[2]), gen_loss=float(means[3]))
+
+
+# One update step per batch, each in a call of its own, so that a batch's
+# graph is freed before the next batch builds its own. Each returns the batch's
+# (recon, prior, disc, gen) losses.
+
+
+def _vae_step(model, x, target, loss_fn, state, rng):
+    z, mu, sigma = encode_vae(model, x, rng, update_running=True)
+    x_hat = decode(model, z, update_running=True)
+    recon = loss_fn(target, x_hat)
+    prior = kl_prior_gaussian(mu, sigma)
+    total = recon + prior
+    state.opt_recon.zero_grad()
+    total.backward()
+    state.opt_recon.step()
+    return recon.item(), prior.item(), 0.0, 0.0
+
+
+def _aae_step(model, x, target, loss_fn, state, rng):
+    # (i) reconstruction on encoder + decoder; its graph is dropped (recon
+    # becomes a float, z is rebound) before (ii) builds another.
+    z = encode_aae(model, x, update_running=True)
+    recon = loss_fn(target, decode(model, z, update_running=True))
+    state.opt_recon.zero_grad()
+    recon.backward()
+    state.opt_recon.step()
+    recon = recon.item()
+    # (ii) and (iii) share these codes: only the adversary changes.
+    z = encode_aae(model, x)
+    # (ii) adversary on prior draws vs detached codes
+    z_real = Tensor(rng.normal((len(x.data), model.latent_dim)),
+                    dtype=model.dtype)
+    d_real = adversary_score(model, z_real, rng=rng, train=True)
+    d_fake = adversary_score(model, z.detach(), rng=rng, train=True)
+    disc = _label_loss(d_real, 1.0) + _label_loss(d_fake, 0.0)
+    state.opt_disc.zero_grad()
+    disc.backward()
+    state.opt_disc.step()
+    # (iii) encoder against the updated adversary
+    d_gen = adversary_score(model, z, rng=rng, train=True)
+    gen = _label_loss(d_gen, 1.0)
+    state.opt_gen.zero_grad()
+    gen.backward()
+    state.opt_gen.step()
+    return recon, 0.0, disc.item(), gen.item()
 
 
 def train_model(model: GenerativeAutoencoder, dataset,
