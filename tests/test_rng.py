@@ -89,16 +89,19 @@ def test_shapes_respected():
 # the stream, pinned
 
 
-def _bare(seed):
+def _reference(seed):
+    """The one-shot reference: a bare NumPy Generator on Philox keyed by the
+    seed, asked for each whole request in one call."""
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-@pytest.mark.parametrize("shape", [(), (0, 3), 1, 7, (3, 70)])
-def test_draws_equal_a_bare_philox_generator(shape):
+@pytest.mark.parametrize("shape", [(), (0, 3), 1, 32767, 32768, 32769, 98309,
+                                   7, (3, 70)])
+def test_draws_equal_the_one_shot_reference(shape):
     for kind, method in (("uniform", "random"),
                          ("normal", "standard_normal")):
         got = getattr(Rng(2016), kind)(shape)
-        expected = getattr(_bare(2016), method)(shape)
+        expected = getattr(_reference(2016), method)(shape)
         assert np.shape(got) == np.shape(expected)
         if shape == ():
             assert type(got) is np.float64
@@ -106,7 +109,7 @@ def test_draws_equal_a_bare_philox_generator(shape):
             assert got.dtype == np.float64
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
     assert np.array_equal(Rng(2016).permutation(50),
-                          _bare(2016).permutation(50))
+                          _reference(2016).permutation(50))
 
 
 def test_a_request_split_across_calls_keeps_the_sequence():
@@ -115,6 +118,21 @@ def test_a_request_split_across_calls_keeps_the_sequence():
         split = np.concatenate([getattr(r, kind)(5), getattr(r, kind)(6)])
         whole = getattr(Rng(7), kind)(11)
         assert split.tobytes() == whole.tobytes(), kind
+
+
+@pytest.mark.parametrize("block", [1, 7, 32768])
+def test_block_size_never_changes_a_value(block):
+    """A request drawn in calls of `block` values gives the values of one
+    call: Philox hands out raw values in order, and neither transform keeps
+    anything from one call to the next."""
+    n = 32768 + 11
+    for kind in ("uniform", "normal"):
+        r = Rng(5)
+        parts = [getattr(r, kind)(min(block, n - i)) for i in range(0, n, block)]
+        one = Rng(5)
+        whole = getattr(one, kind)(n)
+        assert np.concatenate(parts).tobytes() == whole.tobytes(), kind
+        assert r.counter == one.counter
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, 1001])
