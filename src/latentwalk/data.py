@@ -452,7 +452,7 @@ def load_checkpoint(path: str | Path, with_header: bool = False):
     `with_header`, returns (model, header) from the one read of the file."""
     header, index = _read_container(path, "model")
     try:
-        model = GenerativeAutoencoder(**header["model"])
+        model = GenerativeAutoencoder(**header["model"], draw_weights=False)
     except (TypeError, OverflowError, ContractViolation) as exc:
         raise CheckpointError(f"{path}: malformed model descriptor ({exc})") from None
     named = list(model.named_arrays())

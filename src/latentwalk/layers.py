@@ -33,13 +33,18 @@ class _Layer:
 
 
 class DenseLayer(_Layer):
-    """Affine map y = x W^T + b with weights of shape (out, in)."""
+    """Affine map y = x W^T + b with weights of shape (out, in), drawn from
+    `rng` (Glorot uniform), or zero when `rng` is None."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: Rng, dtype=np.float64):
+    def __init__(self, in_dim: int, out_dim: int, rng: Rng | None,
+                 dtype=np.float64):
         if in_dim < 1 or out_dim < 1:
             raise ContractViolation(f"dense dims must be >= 1, got {in_dim}x{out_dim}")
-        limit = np.sqrt(6.0 / (in_dim + out_dim))
-        w = (2.0 * rng.uniform((out_dim, in_dim)) - 1.0) * limit
+        if rng is None:
+            w = np.zeros((out_dim, in_dim))
+        else:
+            limit = np.sqrt(6.0 / (in_dim + out_dim))
+            w = (2.0 * rng.uniform((out_dim, in_dim)) - 1.0) * limit
         self.weights = Tensor(w, requires_grad=True, dtype=dtype)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True, dtype=dtype)
 

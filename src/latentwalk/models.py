@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContractViolation, ShapeMismatchError
 from .layers import Activation, BatchNormLayer, DenseLayer, Dropout
-from .rng import Rng
+from .rng import Rng, check_seed
 from . import tensor as T
 from .tensor import Tensor
 
@@ -97,6 +97,8 @@ class GenerativeAutoencoder:
 
     `dtype` is the storage of every parameter and of the tensors the model
     builds: float64, or float32 as a training-speed switch (dtype or name).
+    `draw_weights=False` leaves the dense weights zero and draws nothing,
+    for a caller that overwrites every array (`data.load_checkpoint`).
     """
 
     def __init__(self, variant: str, data_dim: int, latent_dim: int,
@@ -104,14 +106,15 @@ class GenerativeAutoencoder:
                  adversary_dims: tuple[int, ...] = (64, 64),
                  denoising: bool = False,
                  corruption_variance: float = CorruptionSpec.variance,
-                 init_seed: int = 0, dtype=np.float64):
+                 init_seed: int = 0, dtype=np.float64, *,
+                 draw_weights: bool = True):
         if not isinstance(variant, str) or variant.lower() not in VARIANTS:
             raise ContractViolation(f"unknown variant {variant!r}")
         if not isinstance(denoising, (bool, np.bool_)):
             raise ContractViolation(f"denoising must be a bool, got {denoising!r}")
         variant = variant.lower()
         data_dim, latent_dim = _integer(data_dim), _integer(latent_dim)
-        init_seed = _integer(init_seed, "seeds")
+        init_seed = check_seed(_integer(init_seed, "seeds"))
         hidden_dims = tuple(map(_integer, hidden_dims))
         adversary_dims = tuple(map(_integer, adversary_dims))
         if data_dim < 1 or latent_dim < 1:
@@ -139,7 +142,7 @@ class GenerativeAutoencoder:
         self.prior = PriorSpec(latent_dim)
         self.dtype = np.dtype(dtype)
 
-        rng = Rng(init_seed).derive("init")
+        rng = Rng(init_seed).derive("init") if draw_weights else None
         head_out = 2 * latent_dim if variant == "vae" else latent_dim
         self.encoder = _stack(rng, (data_dim, *hidden_dims, head_out), dtype)
         if variant == "vae":
@@ -246,7 +249,7 @@ def _params(stack) -> list[Tensor]:
     return [p for layer in stack for p in layer.params()]
 
 
-def _stack(rng: Rng, dims: tuple[int, ...], dtype, adversary: bool = False) -> list:
+def _stack(rng: Rng | None, dims: tuple[int, ...], dtype, adversary: bool = False) -> list:
     """Dense layers through the widths `dims`. Each hidden width is followed
     by batch norm and ReLU, or in the adversary by leaky ReLU and dropout;
     the adversary ends in a sigmoid."""

@@ -22,14 +22,20 @@ from .errors import ContractViolation
 _MASK = 0xFFFFFFFFFFFFFFFF
 
 
+def check_seed(seed: int) -> int:
+    """`seed` as a Python int; one outside [0, 2**64 - 1] raises."""
+    if not 0 <= operator.index(seed) <= _MASK:
+        raise ContractViolation(f"seed must lie in [0, 2**64 - 1], got {seed}")
+    return int(seed)
+
+
 class Rng:
     """Uniform/Gaussian generator keyed by a 64-bit seed."""
 
     def __init__(self, seed: int):
-        if not 0 <= operator.index(seed) <= _MASK:
-            raise ContractViolation(f"seed must lie in [0, 2**64 - 1], got {seed}")
+        seed = check_seed(seed)
         self.seed = np.uint64(seed)
-        self._gen = np.random.Generator(np.random.Philox(key=int(seed)))
+        self._gen = np.random.Generator(np.random.Philox(key=seed))
 
     @property
     def counter(self) -> int:

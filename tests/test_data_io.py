@@ -368,6 +368,23 @@ def test_fresh_checkpoint_bytes_are_pinned(tmp_path, model, digest):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def test_load_checkpoint_draws_no_init_weights(tmp_path, monkeypatch):
+    """Loading overwrites every array, so it builds the model without
+    drawing its initial weights."""
+    model = GenerativeAutoencoder("aae", 6, 2, hidden_dims=(5, 4),
+                                  adversary_dims=(3,), init_seed=3)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+
+    def refuse(seed):
+        raise AssertionError("load_checkpoint built an Rng")
+
+    monkeypatch.setattr("latentwalk.models.Rng", refuse)
+    loaded = load_checkpoint(path)
+    assert loaded.fingerprint() == model.fingerprint()
+    assert loaded.arch() == model.arch()
+
+
 def _edit_model_entry(path, edit):
     """Apply `edit` to a checkpoint header's `model` entry in place; the
     payload and its CRC stay as they were."""
