@@ -141,7 +141,7 @@ def test_a4_sampled_chain_covariance_matches_analytic():
         target = solve_stationary_cov(sys)
         z0 = np.zeros((10_000, sys.latent_dim))
         path = oracle_sample_chain(sys, z0, steps=200,
-                                   rng=Rng(hash(tag) % (2 ** 32)))
+                                   rng=Rng(1000).derive(tag))
         emp = np.cov(path[-1].T, bias=True).reshape(sys.latent_dim,
                                                     sys.latent_dim)
         rel = np.linalg.norm(emp - target) / np.linalg.norm(target)

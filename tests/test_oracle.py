@@ -109,6 +109,21 @@ def test_stationary_solves_nearly_critical_contraction(rho):
                        rtol=1e-11, atol=0.0)
 
 
+def test_stationary_solves_a_large_non_normal_system_to_float64_resolution():
+    """Suite system 9 of seed 3004: radius 0.84 but |M|_2 = 31.3, so S is
+    large and its bare residual never falls below an absolute 1e-10. The
+    backward error, the residual over the sizes of its terms, does."""
+    rng = Rng(3004).derive("oracle-suite").derive("sys9")
+    sys = random_contractive_system(rng, latent_dim=2, data_dim=4,
+                                    target_radius=0.84)
+    assert np.linalg.norm(sys.M, 2) > 30.0
+    s = solve_stationary_cov(sys)
+    m, q, norm = sys.M, sys.Q, np.linalg.norm
+    backward = norm(m @ s @ m.T + q - s) / (
+        norm(m) ** 2 * norm(s) + norm(q) + norm(s))
+    assert backward <= 1e-13
+
+
 def test_iterated_moments_converge_to_stationary():
     sys = _half_identity()
     target = solve_stationary_cov(sys)
@@ -257,6 +272,31 @@ def test_covariance_tolerance_follows_the_chain_count(seed):
     for name in ("sampled-covariance", "corruption-augmentation"):
         assert results[name].passed, f"{name}: {results[name].detail}"
     assert "(tolerance 0.1118)" in results["sampled-covariance"].detail
+
+
+@pytest.mark.parametrize("seed", [3004, 6677, 11548, 12445, 18247, 18534])
+def test_suite_solves_every_random_system_of_a_seed(seed):
+    """Each of these seeds draws a contractive system for check 3 whose
+    stationary covariance is too large for an absolute residual bound."""
+    for r in run_oracle_suite(seed=seed, radius=0.5, n_chains=2000):
+        assert r.passed, f"{r.name}: {r.detail}"
+
+
+@pytest.mark.parametrize("radius", [0.95, 0.99])
+def test_suite_passes_near_the_critical_radius(radius):
+    """After 200 steps a slow contraction is still far from stationary; checks
+    2 and 4 compare with the exact covariance at step 200."""
+    for r in run_oracle_suite(seed=1, radius=radius, n_chains=10_000):
+        assert r.passed, f"{r.name}: {r.detail}"
+
+
+def test_sampled_covariance_keeps_the_transient_at_100000_chains():
+    """At radius 0.99, M^200 (I - S) M^200T is 1.75% of S: more than the
+    0.0158 tolerance of 100,000 chains, were check 4 to compare with S."""
+    results = {r.name: r for r in run_oracle_suite(seed=1, radius=0.99,
+                                                   n_chains=100_000)}
+    check = results["sampled-covariance"]
+    assert check.passed, check.detail
 
 
 def test_suite_detects_divergence():
